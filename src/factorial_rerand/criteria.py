@@ -10,6 +10,7 @@ bisection polished with Newton steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -101,11 +102,13 @@ def chi2_pdf(p: int, x: float) -> float:
     return math.exp((h - 1.0) * math.log(x) - x / 2.0 - math.lgamma(h) - h * math.log(2.0))
 
 
+@functools.lru_cache(maxsize=256)
 def chi2_quantile(p: int, prob: float) -> float:
     """Inverse chi-squared CDF, accurate to ~1e-10 in probability.
 
     Bisection on an expanding bracket pins the root to ~1e-13 relative, then
-    a few Newton steps with the density sharpen it.
+    a few Newton steps with the density sharpen it.  Memoized: every engine
+    call resolves the same thresholds several times.
     """
     p = _check_df(p)
     if not 0.0 < prob < 1.0:

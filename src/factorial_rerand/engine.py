@@ -144,33 +144,35 @@ def rerandomize(
             )
 
     batch = sampling.ENGINE_BATCH
-    n_batches = -(-max_draws // batch)
 
-    def scan(b: int) -> tuple[int, np.ndarray | None]:
-        rng = sampling.batch_rng(seed, sampling.PURPOSE_RERANDOMIZE, b)
-        combos = kernel.draw(rng, batch)
-        alive = kernel.surviving(combos)
-        alive = alive[b * batch + alive < max_draws]
-        if alive.size == 0:
-            return b, None
-        return b, combos[alive[0]].copy()
+    def scan(
+        rng: np.random.Generator, limit: int
+    ) -> tuple[np.ndarray, tuple[np.ndarray, AssignmentMatrix, BalanceProfile] | None]:
+        # Screen the whole batch and re-score its survivors in order with the
+        # scalar path, which is authoritative: a float tie right at a
+        # threshold falls through to the batch's next survivor.
+        positions, rows = kernel.screen(rng, limit, limit, prob)
+        for i, row in enumerate(rows):
+            w = expand_assignment(Allocation(spec=spec, combo_of_unit=row), mm)
+            profile = balance_profile(x, w, rule.monitored_effects, cm=kernel.cm)
+            if accept(profile, rule):
+                return positions[i : i + 1], (row, w, profile)
+        return positions[:0], None
 
-    for b, winner in sampling.ordered_parallel_map(scan, range(n_batches), workers):
-        if winner is None:
-            continue
-        rng_used = sampling.batch_rng(seed, sampling.PURPOSE_RERANDOMIZE, b)
-        draws_attempted = _position_of(kernel, rng_used, winner, b, batch, max_draws)
+    stream = sampling.accepted_stream(
+        scan, seed, sampling.PURPOSE_RERANDOMIZE, batch, 1, max_draws, workers
+    )
+    for indices, (winner, w, profile) in stream:
+        draws_attempted = int(indices[0]) + 1
         alloc = Allocation(
             spec=spec,
             combo_of_unit=winner,
-            seed_info={"seed": seed, "batch": b, "draws_attempted": draws_attempted},
+            seed_info={
+                "seed": seed,
+                "batch": int(indices[0]) // batch,
+                "draws_attempted": draws_attempted,
+            },
         )
-        w = expand_assignment(alloc, mm)
-        profile = balance_profile(x, w, rule.monitored_effects, cm=kernel.cm)
-        if not accept(profile, rule):
-            # Float tie right at a threshold between the batched and the
-            # scalar path; treat as rejected and keep scanning.
-            continue
         return RerandomizationResult(
             allocation=alloc,
             assignment=w,
@@ -187,24 +189,6 @@ def rerandomize(
         f"no acceptable allocation within {max_draws} draws "
         f"(implied acceptance probability {prob:.3g})"
     )
-
-
-def _position_of(
-    kernel: sampling.BalanceKernel,
-    rng: np.random.Generator,
-    winner: np.ndarray,
-    b: int,
-    batch: int,
-    max_draws: int,
-) -> int:
-    # Redraw the batch to recover the winner's in-batch position; cheaper
-    # than shipping positions through the parallel map.
-    combos = kernel.draw(rng, batch)
-    pos = int(np.nonzero((combos == winner).all(axis=1))[0][0])
-    attempted = b * batch + pos + 1
-    if attempted > max_draws:
-        raise MaxDrawsExceeded(f"no acceptable allocation within {max_draws} draws")
-    return attempted
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +230,11 @@ def estimate_effects(
         hi = float(y[col > 0].mean())
         lo = float(y[col < 0].mean())
         inner = float((2.0 / w.n) * (y @ col))
-        assert abs(inner - (hi - lo)) <= 1e-10 * scale
+        if abs(inner - (hi - lo)) > 1e-10 * scale:
+            raise ValueError(
+                f"assignment column {label!r} is not balanced: the group-mean "
+                f"difference {hi - lo!r} disagrees with (2/n) y.w = {inner!r}"
+            )
         estimates[label] = hi - lo
         high[label] = hi
         low[label] = lo
@@ -323,35 +311,25 @@ def randomization_test(
         lab: est for lab, est in estimate_effects(y, w_obs, labels).estimates.items()
     }
 
-    batch = sampling.STUDY_BATCH
-    n_batches = -(-max_draws // batch)
+    prob = implied_acceptance_probability(rule)
+
+    def scan(rng: np.random.Generator, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        positions, rows = kernel.screen(rng, limit, n_draws, prob)
+        stats = np.empty((rows.shape[0], len(labels)))
+        for j, lab in enumerate(labels):
+            stats[:, j] = kernel.sign_lookup(lab)[rows] @ y * (2.0 / spec.n)
+        return positions, stats
+
     null_stats = np.empty((n_draws, len(labels)))
     collected = 0
     scanned = 0
-
-    def scan(b: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, b)
-        combos = kernel.draw(rng, batch)
-        alive = kernel.surviving(combos)
-        kept = combos[alive]
-        stats = np.empty((kept.shape[0], len(labels)))
-        for j, lab in enumerate(labels):
-            signs = kernel.sign_lookup(lab)[kept - 1]
-            stats[:, j] = signs @ y * (2.0 / spec.n)
-        return alive, stats
-
-    for alive, stats in sampling.ordered_parallel_map(scan, range(n_batches), workers):
-        room = min(max_draws - scanned, batch)
-        usable = int(np.searchsorted(alive, room))
-        take = min(usable, n_draws - collected)
-        null_stats[collected : collected + take] = stats[:take]
-        collected += take
-        if collected >= n_draws:
-            scanned += int(alive[take - 1]) + 1 if take else 0
-            break
-        scanned += room
-        if scanned >= max_draws:
-            break
+    stream = sampling.accepted_stream(
+        scan, seed, sampling.PURPOSE_REFERENCE, sampling.STUDY_BATCH, n_draws, max_draws, workers
+    )
+    for indices, stats in stream:
+        null_stats[collected : collected + indices.size] = stats[: indices.size]
+        collected += indices.size
+        scanned = int(indices[-1]) + 1
     if collected < n_draws:
         raise MaxDrawsExceeded(
             f"collected {collected} of {n_draws} reference draws within {max_draws} candidates"

@@ -5,11 +5,18 @@ always drawn from the generator seeded by (master seed, purpose, b), so the
 global candidate sequence is a pure function of the master seed: workers
 change scheduling, never results.  Acceptance scans the sequence in global
 index order, which reproduces the single-threaded rejection sampler exactly.
+
+A batch need not be drawn whole.  ``rng.permuted`` consumes the generator one
+row at a time, so drawing a batch's rows in chunks from its own generator
+gives exactly the rows of one whole-batch draw.  The streams below draw only
+as many rows as the demand calls for: chunking changes how many candidates
+are drawn, never which candidates exist or which one wins.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -27,6 +34,12 @@ from .design import DesignSpec, ModelMatrix
 ENGINE_BATCH = 64
 # Monte Carlo studies push much larger batches through the same kernel.
 STUDY_BATCH = 4096
+# Smallest chunk a screen draws: below this, per-call overhead of the score
+# and the triangular solve outweighs the rows saved.
+MIN_CHUNK = 64
+# Chunks aim this far above the rows the implied acceptance rate predicts,
+# so that a batch rarely needs a second chunk.
+CHUNK_HEADROOM = 1.25
 
 # Stream purposes keep independent uses of one master seed apart.
 PURPOSE_RERANDOMIZE = 0
@@ -74,13 +87,76 @@ def ordered_parallel_map(
             yield fut.result()
 
 
+def pure_stream(
+    kernel: BalanceKernel,
+    fn: Callable[[np.ndarray], R],
+    seed: int,
+    purpose: int,
+    batch: int,
+    n: int,
+    workers: int,
+) -> Iterator[R]:
+    """``fn(rows)`` for the ``n`` pure draws of one keyed stream, batch by batch.
+
+    The last batch draws only the rows still needed; they are the first rows
+    of the whole batch.
+    """
+
+    def run(b: int) -> R:
+        return fn(kernel.draw(batch_rng(seed, purpose, b), min(batch, n - b * batch)))
+
+    return ordered_parallel_map(run, range(-(-n // batch)), workers)
+
+
+def accepted_stream(
+    scan: Callable[[np.random.Generator, int], tuple[np.ndarray, T]],
+    seed: int,
+    purpose: int,
+    batch: int,
+    n: int,
+    max_draws: int,
+    workers: int,
+) -> Iterator[tuple[np.ndarray, T]]:
+    """The first ``n`` accepted candidates of one keyed stream, batch by batch.
+
+    ``scan(rng, limit)`` screens one batch: ``rng`` is the batch's own
+    generator and ``limit`` the batch length cut to the ``max_draws`` budget.
+    It returns the ascending in-batch positions of the survivors it found and
+    a value holding one entry per survivor.  Scans should stop at the whole
+    demand ``n``, which bounds what any batch must supply.  The demand still
+    open when a batch starts would be tighter, but it depends on how many
+    batches ran ahead in parallel; a fixed bound keeps the rows each batch
+    draws, and so the blocks its statistics are computed on, the same for any
+    ``workers`` (a BLAS result can round differently with the block's row
+    count).
+
+    Yields ``(global indices, value)`` for each batch with survivors, the
+    indices cut to the open demand (the value is not cut).  Stops once ``n``
+    candidates are accepted or the budget is spent.
+    """
+
+    def run(b: int) -> tuple[np.ndarray, T]:
+        positions, value = scan(batch_rng(seed, purpose, b), min(batch, max_draws - b * batch))
+        return b * batch + positions, value
+
+    remaining = n
+    for indices, value in ordered_parallel_map(run, range(-(-max_draws // batch)), workers):
+        indices = indices[:remaining]
+        if indices.size:
+            remaining -= indices.size
+            yield indices, value
+            if remaining == 0:
+                return
+
+
 class BalanceKernel:
     """Precomputed read-only state for scoring candidate allocations fast.
 
     Holds the centered covariates, the Cholesky factor of their covariance,
-    and per-effect sign lookups indexed by combination.  Mean differences are
-    shift-invariant (signed columns sum to zero), so centering is exact, not
-    an approximation.  Thread-safe by construction: nothing here mutates.
+    and per-effect sign lookups indexed by the 1-based combination index
+    (entry 0 is padding, so gathers need no shifted copy of the indices).
+    Mean differences are shift-invariant (signed columns sum to zero), so
+    centering is exact, not an approximation.  Thread-safe by construction: nothing here mutates.
     """
 
     def __init__(
@@ -108,10 +184,13 @@ class BalanceKernel:
         self._signs: dict[str, np.ndarray] = {}
 
     def sign_lookup(self, label: str) -> np.ndarray:
-        """Signed value of one effect column per combination index (float64)."""
+        """Signed value of one effect column per combination index (float64).
+
+        Entry j holds combination j; entry 0 is a zero pad.
+        """
         col = self._signs.get(label)
         if col is None:
-            col = self.mm.column(label).astype(np.float64)
+            col = np.concatenate(([0.0], self.mm.column(label).astype(np.float64)))
             col.setflags(write=False)
             self._signs[label] = col
         return col
@@ -127,7 +206,7 @@ class BalanceKernel:
     ) -> np.ndarray:
         """(batch, p) mean-difference vectors for one effect."""
         x = self.centered if centered is None else centered
-        signs = self.sign_lookup(label)[combos - 1]
+        signs = self.sign_lookup(label)[combos]
         return signs @ x * (2.0 / self.n)
 
     def distances(self, diffs: np.ndarray) -> np.ndarray:
@@ -141,10 +220,35 @@ class BalanceKernel:
         for label in self.screen_order:
             if alive.size == 0:
                 break
-            d = self.mean_diffs(combos[alive], label)
-            m = self.distances(d)
-            alive = alive[m <= self.thresholds[label]]
+            keep = self.distances(self.mean_diffs(combos, label)) <= self.thresholds[label]
+            alive, combos = alive[keep], combos[keep]
         return alive
+
+    def screen(
+        self, rng: np.random.Generator, limit: int, need: int, prob: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions (ascending) and rows of survivors among a batch's first ``limit`` rows.
+
+        Rows come from ``rng`` in chunks sized to the survivors still missing
+        at the implied acceptance probability ``prob``, and drawing stops once
+        ``need`` have passed.  The survivors are a prefix of those of the
+        whole ``limit``-row batch.
+        """
+        positions = [np.empty(0, dtype=np.intp)]
+        rows = [np.empty((0, self.n), dtype=self.base.dtype)]
+        drawn = found = 0
+        while drawn < limit and found < need:
+            size = limit - drawn
+            want = (need - found) * CHUNK_HEADROOM / prob if prob > 0 else math.inf
+            if want < size:
+                size = min(size, max(MIN_CHUNK, math.ceil(want)))
+            combos = self.draw(rng, size)
+            alive = self.surviving(combos)
+            positions.append(drawn + alive)
+            rows.append(combos[alive])
+            drawn += size
+            found += alive.size
+        return np.concatenate(positions), np.concatenate(rows)
 
     def all_distances(self, combos: np.ndarray, labels: Iterable[str]) -> np.ndarray:
         """(batch, n_effects) distance matrix with no early exit (for studies)."""
@@ -159,6 +263,7 @@ class BalanceKernel:
 
         ``y_table`` is (n, 2^K); each candidate observes its own column per unit.
         """
-        y_obs = y_table[np.arange(self.n)[None, :], combos - 1]
-        signs = self.sign_lookup(label)[combos - 1]
+        padded = np.concatenate((np.zeros((self.n, 1)), y_table), axis=1)
+        y_obs = padded[np.arange(self.n)[None, :], combos]
+        signs = self.sign_lookup(label)[combos]
         return np.einsum("bn,bn->b", signs, y_obs) * (2.0 / self.n)

@@ -395,46 +395,35 @@ def variance_study(
     batch = sampling.STUDY_BATCH
     d_pure = np.empty((n_reps, n_eff, n_cov))
     th_pure = np.empty((n_reps, n_eff)) if po is not None else None
-
-    def pure_batch(b: int) -> tuple[np.ndarray, np.ndarray | None]:
-        rng = sampling.batch_rng(seed, sampling.PURPOSE_STUDY_PURE, b)
-        return batch_stats(kernel.draw(rng, batch))
-
     done = 0
-    for d, th in sampling.ordered_parallel_map(
-        pure_batch, range(-(-n_reps // batch)), workers
+    for d, th in sampling.pure_stream(
+        kernel, batch_stats, seed, sampling.PURPOSE_STUDY_PURE, batch, n_reps, workers
     ):
-        take = min(batch, n_reps - done)
-        d_pure[done : done + take] = d[:take]
+        d_pure[done : done + d.shape[0]] = d
         if th_pure is not None:
-            th_pure[done : done + take] = th[:take]
-        done += take
-        if done >= n_reps:
-            break
+            th_pure[done : done + d.shape[0]] = th
+        done += d.shape[0]
 
     d_acc = np.empty((n_reps, n_eff, n_cov))
     th_acc = np.empty((n_reps, n_eff)) if po is not None else None
 
-    def accepted_batch(b: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray | None]]:
-        rng = sampling.batch_rng(seed, sampling.PURPOSE_STUDY_ACCEPTED, b)
-        combos = kernel.draw(rng, batch)
-        alive = kernel.surviving(combos)
-        return alive, batch_stats(combos[alive])
+    def accepted_batch(
+        rng: np.random.Generator, limit: int
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray | None]]:
+        positions, rows = kernel.screen(rng, limit, n_reps, implied)
+        return positions, batch_stats(rows)
 
     collected = 0
     scanned = 0
-    for alive, (d, th) in sampling.ordered_parallel_map(
-        accepted_batch, range(-(-max_draws // batch)), workers
+    for indices, (d, th) in sampling.accepted_stream(
+        accepted_batch, seed, sampling.PURPOSE_STUDY_ACCEPTED, batch, n_reps, max_draws, workers
     ):
-        take = min(alive.size, n_reps - collected)
+        take = indices.size
         d_acc[collected : collected + take] = d[:take]
         if th_acc is not None:
             th_acc[collected : collected + take] = th[:take]
         collected += take
-        if collected >= n_reps:
-            scanned += int(alive[take - 1]) + 1
-            break
-        scanned += batch
+        scanned = int(indices[-1]) + 1
     if collected < n_reps:
         raise MaxDrawsExceeded(
             f"collected {collected} of {n_reps} accepted draws within {max_draws} candidates"
@@ -546,13 +535,10 @@ def independence_study(
     n_eff, p = len(labels), x.p
     a_vec = np.array([thresholds[lab] for lab in labels])
 
-    batch = sampling.STUDY_BATCH
     m_all = np.empty((n_reps, n_eff))
     d_all = np.empty((n_reps, n_eff, p))
 
-    def scan(b: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = sampling.batch_rng(seed, sampling.PURPOSE_STUDY_PURE, b)
-        combos = kernel.draw(rng, batch)
+    def scan(combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d = np.empty((combos.shape[0], n_eff, p))
         m = np.empty((combos.shape[0], n_eff))
         for j, lab in enumerate(labels):
@@ -561,13 +547,12 @@ def independence_study(
         return m, d
 
     done = 0
-    for m, d in sampling.ordered_parallel_map(scan, range(-(-n_reps // batch)), workers):
-        take = min(batch, n_reps - done)
-        m_all[done : done + take] = m[:take]
-        d_all[done : done + take] = d[:take]
-        done += take
-        if done >= n_reps:
-            break
+    for m, d in sampling.pure_stream(
+        kernel, scan, seed, sampling.PURPOSE_STUDY_PURE, sampling.STUDY_BATCH, n_reps, workers
+    ):
+        m_all[done : done + m.shape[0]] = m
+        d_all[done : done + m.shape[0]] = d
+        done += m.shape[0]
 
     indicators = m_all <= a_vec[None, :]
     marginal = indicators.mean(axis=0)
@@ -639,21 +624,19 @@ def calibrate_empirical_thresholds(
         mm.column_index(lab)
     cm = fit_covariance(x)
     kernel = sampling.BalanceKernel(x, spec, mm, cm, thresholds={})
-    batch = sampling.STUDY_BATCH
     m_all = np.empty((n_draws, len(labels)))
-
-    def scan(b: int) -> np.ndarray:
-        rng = sampling.batch_rng(seed, sampling.PURPOSE_CALIBRATE, b)
-        combos = kernel.draw(rng, batch)
-        return kernel.all_distances(combos, labels)
-
     done = 0
-    for m in sampling.ordered_parallel_map(scan, range(-(-n_draws // batch)), workers):
-        take = min(batch, n_draws - done)
-        m_all[done : done + take] = m[:take]
-        done += take
-        if done >= n_draws:
-            break
+    for m in sampling.pure_stream(
+        kernel,
+        lambda combos: kernel.all_distances(combos, labels),
+        seed,
+        sampling.PURPOSE_CALIBRATE,
+        sampling.STUDY_BATCH,
+        n_draws,
+        workers,
+    ):
+        m_all[done : done + m.shape[0]] = m
+        done += m.shape[0]
     return {
         lab: float(np.quantile(m_all[:, j], q_of[lab], method="linear"))
         for j, lab in enumerate(labels)

@@ -81,6 +81,14 @@ def test_chi2_quantile_round_trip(p):
         assert chi2_cdf(p, x) == pytest.approx(prob, abs=1e-10)
 
 
+def test_chi2_quantile_memo_matches_uncached():
+    for p in (1, 2, 3, 9, 20):
+        for prob in (1e-4, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999):
+            first = chi2_quantile(p, prob)
+            assert first == chi2_quantile.__wrapped__(p, prob)
+            assert chi2_quantile(p, prob) == first
+
+
 def test_chi2_quantile_domain():
     with pytest.raises(ValueError):
         chi2_quantile(3, 0.0)

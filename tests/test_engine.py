@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from factorial_rerand.assignment import Allocation, expand_assignment
-from factorial_rerand.balance import CovariateMatrix, balance_profile
-from factorial_rerand.criteria import AcceptanceRule, Tier, accept
+from factorial_rerand import engine, sampling
+from factorial_rerand.assignment import Allocation, AssignmentMatrix, expand_assignment
+from factorial_rerand.balance import CovariateMatrix, balance_profile, fit_covariance
+from factorial_rerand.criteria import AcceptanceRule, Tier, accept, resolve_thresholds
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 from factorial_rerand.engine import (
     estimate_effects,
@@ -48,6 +49,34 @@ def test_rerandomize_is_deterministic_across_worker_counts(small_problem):
     assert not np.array_equal(
         base.allocation.combo_of_unit, different.allocation.combo_of_unit
     )
+
+
+def test_rerandomize_float_tie_falls_through_to_next_survivor_of_same_batch(
+    small_problem, monkeypatch
+):
+    spec, x, rule = small_problem
+    base = rerandomize(x, spec, rule, seed=9)
+    batch = sampling.ENGINE_BATCH
+    b = (base.draws_attempted - 1) // batch
+    mm = expand_model_matrix(build_design_matrix(spec))
+    kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
+    combos = kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_RERANDOMIZE, b), batch)
+    alive = kernel.surviving(combos)
+    assert b * batch + alive[0] + 1 == base.draws_attempted
+    assert alive.size >= 2
+
+    def reject_first_winner(profile, rule_):
+        # The scalar re-score disagrees with the batched screen on the first
+        # survivor only, as a float tie at a threshold would.
+        if profile.distances == base.profile.distances:
+            return False
+        return accept(profile, rule_)
+
+    monkeypatch.setattr(engine, "accept", reject_first_winner)
+    for workers in (1, 4):
+        result = rerandomize(x, spec, rule, seed=9, workers=workers)
+        assert result.draws_attempted == b * batch + alive[1] + 1
+        assert np.array_equal(result.allocation.combo_of_unit, combos[alive[1]])
 
 
 def test_rerandomize_draw_counts_match_geometric_rate(small_problem):
@@ -102,6 +131,16 @@ def test_estimate_effects_k2_fixture():
     assert est.estimate("AB") == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
         est.estimate("C")
+
+
+def test_estimate_effects_rejects_unbalanced_column():
+    # Column A puts three units high and one low, so the group-mean
+    # difference and (2/n) y.w disagree.
+    w = AssignmentMatrix(
+        entries=np.array([[1, 1], [1, 1], [1, 1], [1, -1]]), labels=("I", "A"), k=1
+    )
+    with pytest.raises(ValueError, match="not balanced"):
+        estimate_effects(np.array([1.0, 2.0, 3.0, 4.0]), w, ("A",))
 
 
 def test_randomization_test_requires_accepted_observed(small_problem):
@@ -167,3 +206,31 @@ def test_randomization_test_minimum_draws(small_problem):
     y = np.zeros(32)
     with pytest.raises(ValueError):
         randomization_test(y, result.allocation, x, rule, ("A",), n_draws=99, seed=1)
+
+
+def test_randomization_test_worker_invariant_with_partial_final_batch(small_problem, monkeypatch):
+    spec, x, rule = small_problem
+    result = rerandomize(x, spec, rule, seed=33)
+    y = np.random.default_rng(5).normal(size=32)
+    # Small batches put the last accepted draw several batches in.
+    monkeypatch.setattr(sampling, "STUDY_BATCH", 96)
+
+    def run(workers, max_draws):
+        try:
+            return randomization_test(
+                y, result.allocation, x, rule, ("A", "B"), n_draws=150, seed=6,
+                workers=workers, max_draws=max_draws,
+            ).to_dict()
+        except MaxDrawsExceeded as exc:
+            return str(exc)
+
+    full = run(1, 10_000)
+    scanned = full["draws_scanned"]
+    assert scanned > 96 and scanned % 96
+    # The budget ends inside the batch that meets the demand: exactly enough,
+    # then one candidate short.
+    for max_draws in (scanned, scanned - 1):
+        outs = [run(workers, max_draws) for workers in (1, 2, 4)]
+        assert outs[0] == outs[1] == outs[2]
+    assert run(1, scanned) == full
+    assert "collected 149 of 150" in run(1, scanned - 1)

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorial_rerand import sampling
 from factorial_rerand.assignment import Allocation, expand_assignment
@@ -110,3 +112,41 @@ def test_kernel_screen_order_most_selective_first(kernel_setup):
     _, _, _, kernel, _, thresholds = kernel_setup
     # equal thresholds here, so just confirm all monitored effects survive screening
     assert set(kernel.screen_order) == set(thresholds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    r=st.integers(2, 6),
+    joint=st.floats(0.05, 0.9),
+    prob=st.floats(0.001, 1.0),
+    limit=st.integers(1, 400),
+    need=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_matches_whole_batch_draw(k, r, joint, prob, limit, need, seed):
+    spec = DesignSpec(k=k, r=r)
+    mm = expand_model_matrix(build_design_matrix(spec))
+    x = CovariateMatrix(np.random.default_rng(seed).normal(size=(spec.n, 2)), names=("u", "v"))
+    rule = AcceptanceRule(tiers=(Tier("all", mm.effect_labels, joint_prob=joint),), p=2)
+    kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
+
+    whole = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit)
+    alive = kernel.surviving(whole)
+    rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
+    positions, rows = kernel.screen(rng, limit, need, prob)
+    # A prefix of the whole batch's survivors, stopping only once enough passed.
+    assert positions.size >= min(need, alive.size)
+    assert np.array_equal(positions, alive[: positions.size])
+    assert np.array_equal(rows, whole[positions])
+
+
+def test_pure_stream_draws_the_first_rows_of_each_batch(kernel_setup):
+    _, _, _, kernel, _, _ = kernel_setup
+    got = np.concatenate(
+        list(sampling.pure_stream(kernel, lambda rows: rows, 7, sampling.PURPOSE_CALIBRATE, 32, 75, 2))
+    )
+    whole = [
+        kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32) for b in range(3)
+    ]
+    assert np.array_equal(got, np.concatenate(whole)[:75])

@@ -1,7 +1,10 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from factorial_rerand import simlab
+from factorial_rerand import sampling, simlab
 from factorial_rerand.balance import CovariateMatrix
 from factorial_rerand.criteria import AcceptanceRule, Tier, chi2_quantile
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
@@ -157,6 +160,50 @@ def test_variance_study_is_deterministic_and_worker_invariant(desk):
     assert np.array_equal(r1.d_var_accepted, r2.d_var_accepted)
     assert np.array_equal(r1.theta_mean_accepted, r2.theta_mean_accepted)
     assert r1.draws_scanned == r2.draws_scanned
+
+
+def test_variance_study_worker_invariant_with_partial_final_batch(desk, monkeypatch):
+    spec, x, rule, model = desk
+    # 300 reps in 128-row batches: the pure half ends in a partial batch,
+    # and a budget ending at the last accepted draw cuts the accepted half's
+    # final batch short.
+    monkeypatch.setattr(sampling, "STUDY_BATCH", 128)
+    scanned = simlab.variance_study(spec, x, rule, model, n_reps=300, seed=3).draws_scanned
+    assert scanned % 128
+    first = simlab.variance_study(spec, x, rule, model, n_reps=300, seed=3, max_draws=scanned)
+    assert first.draws_scanned == scanned
+    for workers in (2, 4):
+        report = simlab.variance_study(
+            spec, x, rule, model, n_reps=300, seed=3, workers=workers, max_draws=scanned
+        )
+        for f in dataclasses.fields(report):
+            a, b = getattr(first, f.name), getattr(report, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), f.name
+            else:
+                assert a == b, f.name
+
+
+def test_variance_study_pure_half_draws_only_the_rows_it_keeps(desk, monkeypatch):
+    spec, x, rule, model = desk
+    purpose_of = {}
+    drawn = Counter()
+    real_rng, real_draw = sampling.batch_rng, sampling.BalanceKernel.draw
+
+    def tagged_rng(seed, purpose, batch):
+        rng = real_rng(seed, purpose, batch)
+        purpose_of[id(rng)] = (purpose, rng)
+        return rng
+
+    def counting_draw(kernel, rng, size):
+        drawn[purpose_of[id(rng)][0]] += size
+        return real_draw(kernel, rng, size)
+
+    monkeypatch.setattr(sampling, "batch_rng", tagged_rng)
+    monkeypatch.setattr(sampling.BalanceKernel, "draw", counting_draw)
+    report = simlab.variance_study(spec, x, rule, model, n_reps=5000, seed=11)
+    assert drawn[sampling.PURPOSE_STUDY_PURE] == 5000
+    assert report.draws_scanned <= drawn[sampling.PURPOSE_STUDY_ACCEPTED]
 
 
 def test_variance_study_without_model_skips_estimators(desk):
