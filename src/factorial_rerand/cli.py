@@ -5,33 +5,29 @@ design, the covariate file, and the acceptance rule, so a study is fully
 reproducible from one file plus a seed.  Flags override the config where
 that is useful (seed, draw budget, workers, output locations).
 
-Exit codes: 2 usage, 3 unreadable or invalid input files, 4 dimension
-mismatches, 5 singular covariance, 6 draw budget exhausted.
+Exit codes: 2 usage, 3 unreadable or invalid input files and invalid config
+or flag values, 4 dimension mismatches, 5 singular covariance, 6 draw budget
+exhausted.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import logging
 import secrets
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import click
-import numpy as np
 
 from . import __version__, engine, fileio, simlab
 from .assignment import expand_assignment
 from .balance import CovariateMatrix, balance_profile, fit_covariance
-from .criteria import (
-    AcceptanceRule,
-    ThresholdMode,
-    Tier,
-    accept,
-    implied_acceptance_probability,
-    resolve_thresholds,
-)
+from .criteria import AcceptanceRule, ThresholdMode, Tier, accept, resolve_thresholds
 from .design import DesignSpec, Order, build_design_matrix, expand_model_matrix
 from .errors import (
     DimensionMismatch,
@@ -40,11 +36,14 @@ from .errors import (
     SingularCovariance,
 )
 
+# Every value the command line handles comes from outside the program, so a
+# ValueError raised deeper down is bad input too.  The subclasses come first.
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (ParseError, 3),
     (DimensionMismatch, 4),
     (SingularCovariance, 5),
     (MaxDrawsExceeded, 6),
+    (ValueError, 3),
 )
 
 
@@ -74,153 +73,213 @@ def main(verbose: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config handling
+# Run configuration
+
+_TOP_KEYS = {
+    "design", "covariates", "rule", "seed", "max_draws", "workers", "output_dir",
+    "simulation", "calibration", "test",
+}
 
 
-def _require_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _object(value: Any, allowed: set[str], where: str, required: bool = False) -> Any:
+    """``value`` as a JSON object with only ``allowed`` keys (null ones dropped), or None."""
+    if value is None and not required:
+        return None
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object, got {value!r}")
+    unknown = set(value) - allowed
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+    return {k: v for k, v in value.items() if v is not None}
 
 
-def _load_config(path: str) -> tuple[dict[str, Any], Path]:
-    cfg = fileio.read_json(path)
-    _require_keys(
-        cfg,
-        {
-            "design",
-            "covariates",
-            "rule",
-            "seed",
-            "max_draws",
-            "workers",
-            "output_dir",
-            "simulation",
-            "calibration",
-            "test",
-        },
-        path,
-    )
-    return cfg, Path(path).resolve().parent
+def _count(section: Mapping[str, Any], key: str, where: str, default: Any, minimum: int = 1) -> Any:
+    """An integer field at or above ``minimum``; bools, floats and strings are refused."""
+    value = section.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParseError(f"{where}: {key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
-def _section(cfg: Mapping[str, Any], key: str, where: str) -> dict[str, Any]:
-    try:
-        section = cfg[key]
-    except KeyError:
-        raise ParseError(f"{where}: missing required section {key!r}") from None
-    if not isinstance(section, dict):
-        raise ParseError(f"{where}: section {key!r} must be an object")
-    return section
+def _strings(section: Mapping[str, Any], key: str, where: str, default: Any = None) -> Any:
+    value = section.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{where}: {key} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
-def _config_design(cfg: Mapping[str, Any], where: str) -> DesignSpec:
-    section = _section(cfg, "design", where)
-    _require_keys(section, {"k", "r", "order", "factor_names"}, f"{where}: design")
-    try:
-        return DesignSpec(
-            k=section["k"],
-            r=section["r"],
-            order=Order(section.get("order", "lexicographic")),
-            factor_names=(
-                tuple(section["factor_names"]) if "factor_names" in section else None
-            ),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{where}: design is missing {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ParseError(f"{where}: design: {exc}") from None
-
-
-def _config_covariates(
-    cfg: Mapping[str, Any], where: str, base: Path
-) -> CovariateMatrix:
-    section = _section(cfg, "covariates", where)
-    _require_keys(section, {"path", "columns"}, f"{where}: covariates")
-    if "path" not in section:
-        raise ParseError(f"{where}: covariates is missing 'path'")
-    x = fileio.read_covariates(_resolve(section["path"], base))
-    if "columns" in section:
-        try:
-            x = x.subset(section["columns"])
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"{where}: covariates: {exc}") from None
-    return x
-
-
-def _config_rule(cfg: Mapping[str, Any], where: str, base: Path, p: int) -> AcceptanceRule:
-    section = _section(cfg, "rule", where)
-    _require_keys(section, {"mode", "tiers", "thresholds_path"}, f"{where}: rule")
-    mode = ThresholdMode(section.get("mode", "chi2"))
-    try:
-        if "thresholds_path" in section:
-            if "tiers" in section:
-                raise ValueError("give either tiers or thresholds_path, not both")
-            thresholds, p_file = fileio.read_thresholds(
-                _resolve(section["thresholds_path"], base)
-            )
-            if p_file != p:
-                raise ValueError(
-                    f"thresholds were calibrated for {p_file} covariates, have {p}"
-                )
-            return AcceptanceRule.from_thresholds(thresholds, p=p, mode=mode)
-        tiers = []
-        for i, entry in enumerate(section.get("tiers", [])):
-            _require_keys(
-                entry, {"name", "effects", "a", "joint_prob"}, f"{where}: rule tier {i}"
-            )
-            tiers.append(
-                Tier(
-                    name=entry.get("name", f"tier{i + 1}"),
-                    effects=tuple(entry["effects"]),
-                    a=entry.get("a"),
-                    joint_prob=entry.get("joint_prob"),
-                )
-            )
-        return AcceptanceRule(tiers=tuple(tiers), p=p, mode=mode)
-    except KeyError as exc:
-        raise ParseError(f"{where}: rule tier is missing {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ParseError(f"{where}: rule: {exc}") from None
-
-
-def _config_model(section: Mapping[str, Any], where: str) -> simlab.OutcomeModel:
-    _require_keys(
-        section,
-        {"effects", "beta", "grand_mean", "sigma", "target_r2"},
-        f"{where}: model",
-    )
-    try:
-        return simlab.OutcomeModel(
-            effects={str(k): float(v) for k, v in section.get("effects", {}).items()},
-            beta=np.asarray(section["beta"], dtype=np.float64),
-            grand_mean=float(section.get("grand_mean", 0.0)),
-            sigma=section.get("sigma"),
-            target_r2=section.get("target_r2"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{where}: model is missing {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: model: {exc}") from None
-
-
-def _resolve(path: str, base: Path) -> Path:
-    p = Path(path)
+def _path(value: Any, base: Path, where: str) -> Path:
+    if not isinstance(value, str):
+        raise ParseError(f"{where} must be a path string, got {value!r}")
+    p = Path(value)
     return p if p.is_absolute() else base / p
 
 
-def _resolve_seed(flag: int | None, cfg: Mapping[str, Any]) -> tuple[int, bool]:
-    if flag is not None:
-        return flag, False
-    if cfg.get("seed") is not None:
-        return int(cfg["seed"]), False
-    return secrets.randbits(63), True
+@contextlib.contextmanager
+def _building(where: str) -> Iterator[None]:
+    """Report a bad value met while building package objects as a ParseError."""
+    try:
+        yield
+    except (ParseError, DimensionMismatch):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
-def _out_dir(flag: str | None, cfg: Mapping[str, Any], base: Path) -> Path:
-    if flag is not None:
-        return Path(flag)
-    return _resolve(str(cfg.get("output_dir", ".")), base)
+def _rule(section: Mapping[str, Any], base: Path, p: int, where: str) -> AcceptanceRule:
+    with _building(where):
+        mode = ThresholdMode(section.get("mode", "chi2"))
+        if "thresholds_path" in section:
+            if "tiers" in section:
+                raise ValueError("give either tiers or thresholds_path, not both")
+            file = _path(section["thresholds_path"], base, f"{where}: thresholds_path")
+            thresholds, p_file = fileio.read_thresholds(file)
+            if p_file != p:
+                raise ValueError(f"thresholds were calibrated for {p_file} covariates, have {p}")
+            return AcceptanceRule.from_thresholds(thresholds, p=p, mode=mode)
+        entries = section.get("tiers", [])
+        if not isinstance(entries, list):
+            raise ParseError(f"{where}: tiers must be a list of objects, got {entries!r}")
+        tiers = []
+        for i, entry in enumerate(entries):
+            tier_where = f"{where} tier {i}"
+            entry = _object(entry, {"name", "effects", "a", "joint_prob"}, tier_where, True)
+            effects = _strings(entry, "effects", tier_where, ())
+            tiers.append(Tier(**{"name": f"tier{i + 1}", **entry, "effects": effects}))
+        return AcceptanceRule(tiers=tuple(tiers), p=p, mode=mode)
+
+
+@dataclass(frozen=True, eq=False)
+class RunConfig:
+    """A run configuration, read and checked once, with flag overrides applied.
+
+    Relative paths resolve against the config file's directory, and a key set
+    to null counts as absent.  Value rules stay with the objects built here
+    and the functions that use them.
+    """
+
+    path: str
+    spec: DesignSpec
+    x: CovariateMatrix
+    rule: AcceptanceRule | None
+    seed: int
+    seed_generated: bool
+    max_draws: int
+    workers: int
+    output_dir: Path
+    test: dict[str, Any]  # n_draws, effects
+    simulation: dict[str, Any] | None  # study, n_reps, model, effects, report_x
+    calibration: dict[str, Any] | None  # effects, q, n_draws
+
+    @classmethod
+    def load(
+        cls,
+        path: str,
+        *,
+        seed: int | None = None,
+        workers: int | None = None,
+        max_draws: int | None = None,
+        output_dir: str | None = None,
+        with_rule: bool = True,
+    ) -> RunConfig:
+        """Read ``path``; flags replace their config values and pass the same checks.
+
+        ``with_rule=False`` skips the rule section, which may name the
+        thresholds file that calibration is about to write.
+        """
+        cfg = _object(fileio.read_json(path), _TOP_KEYS, path)
+        base = Path(path).resolve().parent
+        flags = {"seed": seed, "workers": workers, "max_draws": max_draws}
+        top = {**cfg, **{k: v for k, v in flags.items() if v is not None}}
+        seed_value = _count(top, "seed", path, None, minimum=0)
+
+        where = f"{path}: design"
+        design = _object(cfg.get("design"), {"k", "r", "order", "factor_names"}, where, True)
+        names = _strings(design, "factor_names", where)
+        with _building(where):
+            spec = DesignSpec(**{**design, "factor_names": names})
+
+        where = f"{path}: covariates"
+        section = _object(cfg.get("covariates"), {"path", "columns"}, where, True)
+        full = fileio.read_covariates(_path(section.get("path"), base, f"{where}: path"))
+        columns = _strings(section, "columns", where)
+        with _building(where):
+            x = full if columns is None else full.subset(columns)
+
+        rule = None
+        if with_rule:
+            where = f"{path}: rule"
+            section = _object(cfg.get("rule"), {"mode", "tiers", "thresholds_path"}, where, True)
+            rule = _rule(section, base, x.p, where)
+
+        where = f"{path}: test"
+        test = _object(cfg.get("test"), {"n_draws", "effects"}, where) or {}
+        test = {
+            "n_draws": _count(test, "n_draws", where, 1000),
+            "effects": _strings(test, "effects", where, ()),
+        }
+
+        where = f"{path}: simulation"
+        keys = {"study", "n_reps", "model", "effects", "report_covariates"}
+        sim = _object(cfg.get("simulation"), keys, where)
+        if sim is not None:
+            if sim.get("study", "variance") not in ("variance", "independence"):
+                raise ParseError(f"{where}: study must be 'variance' or 'independence'")
+            keys = {"effects", "beta", "grand_mean", "sigma", "target_r2"}
+            model = _object(sim.get("model"), keys, f"{where}: model")
+            names = _strings(sim, "report_covariates", where)
+            with _building(where):
+                sim = {
+                    "study": sim.get("study", "variance"),
+                    "n_reps": _count(sim, "n_reps", where, 1000),
+                    "model": None if model is None else simlab.OutcomeModel(**model),
+                    "effects": _strings(sim, "effects", where),
+                    "report_x": None if names is None else full.subset(names),
+                }
+
+        where = f"{path}: calibration"
+        cal = _object(cfg.get("calibration"), {"effects", "q", "n_draws"}, where)
+        if cal is not None:
+            if "q" not in cal:
+                raise ParseError(f"{where}: missing 'q'")
+            with _building(where):
+                q = cal["q"]
+                cal = {
+                    "effects": _strings(cal, "effects", where, ()),
+                    "q": {str(k): float(v) for k, v in q.items()} if isinstance(q, dict) else float(q),
+                    "n_draws": _count(cal, "n_draws", where, 10_000),
+                }
+
+        out = _path(cfg.get("output_dir", "."), base, f"{path}: output_dir")
+        return cls(
+            path=path,
+            spec=spec,
+            x=x,
+            rule=rule,
+            seed=secrets.randbits(63) if seed_value is None else seed_value,
+            seed_generated=seed_value is None,
+            max_draws=_count(top, "max_draws", path, engine.DEFAULT_MAX_DRAWS),
+            workers=_count(top, "workers", path, 1),
+            output_dir=out if output_dir is None else Path(output_dir),
+            test=test,
+            simulation=sim,
+            calibration=cal,
+        )
+
+    def section(self, name: str) -> dict[str, Any]:
+        """The checked ``simulation`` or ``calibration`` section, which must be present."""
+        value = getattr(self, name)
+        if value is None:
+            raise ParseError(f"{self.path}: missing required section {name!r}")
+        return value
+
+    def echo_generated_seed(self) -> None:
+        if self.seed_generated:
+            click.echo(f"seed: {self.seed} (generated)")
 
 
 def _effect_list(text: str | None) -> tuple[str, ...] | None:
@@ -266,10 +325,7 @@ def _fmt(value: Any) -> str:
 @_with_exit_codes
 def design(k: int, r: int, order: str, factors: str | None, expanded: bool, output: str | None) -> None:
     """Print the design matrix for a 2^K factorial."""
-    try:
-        spec = DesignSpec(k=k, r=r, order=Order(order), factor_names=_effect_list(factors))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    spec = DesignSpec(k=k, r=r, order=Order(order), factor_names=_effect_list(factors))
     dm = build_design_matrix(spec)
     if expanded:
         mm = expand_model_matrix(dm)
@@ -304,33 +360,27 @@ def allocate(
     output_dir: str | None,
 ) -> None:
     """Draw an accepted allocation and write it with its audit trail."""
-    cfg, base = _load_config(config_path)
-    spec = _config_design(cfg, config_path)
-    x = _config_covariates(cfg, config_path, base)
-    rule = _config_rule(cfg, config_path, base, x.p)
-    seed_value, generated = _resolve_seed(seed, cfg)
-    budget = max_draws if max_draws is not None else int(cfg.get("max_draws", engine.DEFAULT_MAX_DRAWS))
-    nworkers = workers if workers is not None else int(cfg.get("workers", 1))
+    run = RunConfig.load(
+        config_path, seed=seed, workers=workers, max_draws=max_draws, output_dir=output_dir
+    )
+    result = engine.rerandomize(
+        run.x, run.spec, run.rule, run.seed, max_draws=run.max_draws, workers=run.workers
+    )
 
-    result = engine.rerandomize(x, spec, rule, seed_value, max_draws=budget, workers=nworkers)
-
-    out = _out_dir(output_dir, cfg, base)
+    out = run.output_dir
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_allocation(out / "allocation.csv", result.allocation)
     fileio.write_json(out / "manifest.json", result.manifest(version=__version__))
     fileio.write_balance_report(out / "balance.csv", result.profile)
 
-    if generated:
-        click.echo(f"seed: {seed_value} (generated)")
-    else:
-        click.echo(f"seed: {seed_value}")
+    click.echo(f"seed: {run.seed}" + (" (generated)" if run.seed_generated else ""))
     click.echo(
         f"accepted after {result.draws_attempted} draws "
         f"(implied acceptance probability {result.acceptance_probability:.3g})"
     )
     rows = [
         (eff, result.profile.m(eff), result.thresholds[eff])
-        for eff in rule.monitored_effects
+        for eff in run.rule.monitored_effects
     ]
     _echo_table(rows, header=("effect", "distance", "threshold"))
     click.echo(f"wrote {out / 'allocation.csv'}, {out / 'manifest.json'}, {out / 'balance.csv'}")
@@ -346,15 +396,13 @@ def diagnose(
     config_path: str, allocation_path: str, effects: str | None, output: str | None
 ) -> None:
     """Profile covariate balance for an existing allocation."""
-    cfg, base = _load_config(config_path)
-    spec = _config_design(cfg, config_path)
-    x = _config_covariates(cfg, config_path, base)
-    rule = _config_rule(cfg, config_path, base, x.p)
-    alloc = fileio.read_allocation(allocation_path, spec)
-    mm = expand_model_matrix(build_design_matrix(spec))
-    w = expand_assignment(alloc, mm)
-    labels = _effect_list(effects) or rule.monitored_effects
-    profile = balance_profile(x, w, labels)
+    run = RunConfig.load(config_path)
+    rule = run.rule
+    alloc = fileio.read_allocation(allocation_path, run.spec)
+    w = expand_assignment(alloc, expand_model_matrix(build_design_matrix(run.spec)))
+    labels = tuple(dict.fromkeys(_effect_list(effects) or rule.monitored_effects))
+    # One profile covers the requested effects and the rule's.
+    profile = balance_profile(run.x, w, labels + rule.monitored_effects, cm=fit_covariance(run.x))
     thresholds = resolve_thresholds(rule)
     rows = []
     for eff in labels:
@@ -362,10 +410,9 @@ def diagnose(
         verdict = "" if a is None else ("PASS" if profile.m(eff) <= a else "FAIL")
         rows.append((eff, profile.m(eff), "" if a is None else a, verdict))
     _echo_table(rows, header=("effect", "distance", "threshold", "status"))
-    ok = accept(balance_profile(x, w, rule.monitored_effects), rule)
-    click.echo(f"acceptance rule: {'PASS' if ok else 'FAIL'}")
+    click.echo(f"acceptance rule: {'PASS' if accept(profile, rule) else 'FAIL'}")
     if output:
-        fileio.write_balance_report(output, profile)
+        fileio.write_balance_report(output, dataclasses.replace(profile, effects=labels))
         click.echo(f"wrote {output}")
 
 
@@ -390,28 +437,17 @@ def test(
     output: str | None,
 ) -> None:
     """Randomization test over the accepted-allocation reference set."""
-    cfg, base = _load_config(config_path)
-    spec = _config_design(cfg, config_path)
-    x = _config_covariates(cfg, config_path, base)
-    rule = _config_rule(cfg, config_path, base, x.p)
-    section = cfg.get("test", {})
-    _require_keys(section, {"n_draws", "effects"}, f"{config_path}: test")
-    alloc = fileio.read_allocation(allocation_path, spec)
-    y = fileio.read_outcomes(outcomes_path, n=spec.n)
-    labels = _effect_list(effects) or tuple(section.get("effects", ())) or rule.monitored_effects
-    n_draws = draws if draws is not None else int(section.get("n_draws", 1000))
-    seed_value, generated = _resolve_seed(seed, cfg)
-    nworkers = workers if workers is not None else int(cfg.get("workers", 1))
-
+    run = RunConfig.load(config_path, seed=seed, workers=workers)
+    alloc = fileio.read_allocation(allocation_path, run.spec)
+    y = fileio.read_outcomes(outcomes_path, n=run.spec.n)
+    labels = _effect_list(effects) or run.test["effects"] or run.rule.monitored_effects
     result = engine.randomization_test(
-        y, alloc, x, rule, labels, n_draws=n_draws, seed=seed_value, workers=nworkers
+        y, alloc, run.x, run.rule, labels,
+        n_draws=run.test["n_draws"] if draws is None else draws,
+        seed=run.seed, workers=run.workers,
     )
-    if generated:
-        click.echo(f"seed: {seed_value} (generated)")
-    rows = [
-        (eff, result.observed[eff], result.p_values[eff])
-        for eff in result.effects
-    ]
+    run.echo_generated_seed()
+    rows = [(eff, result.observed[eff], result.p_values[eff]) for eff in result.effects]
     _echo_table(rows, header=("effect", "estimate", "p_value"))
     click.echo(f"reference draws: {result.n_reference} (scanned {result.draws_scanned})")
     if output:
@@ -434,28 +470,15 @@ def simulate(
     output_dir: str | None,
 ) -> None:
     """Monte Carlo study of the acceptance rule's effect on balance and estimates."""
-    cfg, base = _load_config(config_path)
-    spec = _config_design(cfg, config_path)
-    x = _config_covariates(cfg, config_path, base)
-    rule = _config_rule(cfg, config_path, base, x.p)
-    section = _section(cfg, "simulation", config_path)
-    _require_keys(
-        section,
-        {"study", "n_reps", "model", "effects", "report_covariates"},
-        f"{config_path}: simulation",
-    )
-    kind = section.get("study", "variance")
-    if kind not in ("variance", "independence"):
-        raise ParseError(f"{config_path}: simulation.study must be 'variance' or 'independence'")
-    n_reps = reps if reps is not None else int(section.get("n_reps", 1000))
-    seed_value, generated = _resolve_seed(seed, cfg)
-    nworkers = workers if workers is not None else int(cfg.get("workers", 1))
-    out = _out_dir(output_dir, cfg, base) / "study"
-    if generated:
-        click.echo(f"seed: {seed_value} (generated)")
+    run = RunConfig.load(config_path, seed=seed, workers=workers, output_dir=output_dir)
+    sim = run.section("simulation")
+    n_reps = sim["n_reps"] if reps is None else reps
+    run.echo_generated_seed()
 
-    if kind == "independence":
-        report = simlab.independence_study(spec, x, rule, n_reps, seed_value, workers=nworkers)
+    if sim["study"] == "independence":
+        report = simlab.independence_study(
+            run.spec, run.x, run.rule, n_reps, run.seed, workers=run.workers
+        )
         click.echo(
             f"joint acceptance {report.joint_rate:.4f} "
             f"(rule implies {report.rule_implied_joint:.4f}, "
@@ -463,20 +486,9 @@ def simulate(
         )
         click.echo(f"largest indicator correlation: {report.max_indicator_corr:.4f}")
     else:
-        model = _config_model(section["model"], config_path) if "model" in section else None
-        report_x = None
-        if "report_covariates" in section:
-            full = fileio.read_covariates(
-                _resolve(_section(cfg, "covariates", config_path)["path"], base)
-            )
-            try:
-                report_x = full.subset(section["report_covariates"])
-            except (ValueError, KeyError) as exc:
-                raise ParseError(f"{config_path}: report_covariates: {exc}") from None
-        labels = tuple(section["effects"]) if "effects" in section else None
         report = simlab.variance_study(
-            spec, x, rule, model, n_reps, seed_value,
-            effects=labels, report_x=report_x, workers=nworkers,
+            run.spec, run.x, run.rule, sim["model"], n_reps, run.seed,
+            effects=sim["effects"], report_x=sim["report_x"], workers=run.workers,
         )
         click.echo(
             f"acceptance rate {report.acceptance_rate:.4f} over {report.draws_scanned} draws"
@@ -488,7 +500,7 @@ def simulate(
         _echo_table(rows, header=("interaction_order", "mean_pct_reduction", "covariates"))
         if report.r2_realized is not None:
             click.echo(f"unit-level R^2: {report.r2_realized:.4f}")
-    written = fileio.write_study_report(out, report)
+    written = fileio.write_study_report(run.output_dir / "study", report)
     click.echo("wrote " + ", ".join(str(p) for p in written))
 
 
@@ -507,31 +519,17 @@ def calibrate(
     output: str | None,
 ) -> None:
     """Estimate per-effect thresholds as empirical distance quantiles."""
-    cfg, base = _load_config(config_path)
-    spec = _config_design(cfg, config_path)
-    x = _config_covariates(cfg, config_path, base)
-    section = _section(cfg, "calibration", config_path)
-    _require_keys(section, {"effects", "q", "n_draws"}, f"{config_path}: calibration")
-    try:
-        labels = tuple(section["effects"])
-        q = section["q"]
-    except KeyError as exc:
-        raise ParseError(f"{config_path}: calibration is missing {exc.args[0]!r}") from None
-    n_draws = draws if draws is not None else int(section.get("n_draws", 10_000))
-    seed_value, generated = _resolve_seed(seed, cfg)
-    nworkers = workers if workers is not None else int(cfg.get("workers", 1))
-    try:
-        thresholds = simlab.calibrate_empirical_thresholds(
-            spec, x, labels, q, n_draws, seed_value, workers=nworkers
-        )
-    except ValueError as exc:
-        raise ParseError(f"{config_path}: calibration: {exc}") from None
-    if generated:
-        click.echo(f"seed: {seed_value} (generated)")
+    run = RunConfig.load(config_path, seed=seed, workers=workers, with_rule=False)
+    cal = run.section("calibration")
+    thresholds = simlab.calibrate_empirical_thresholds(
+        run.spec, run.x, cal["effects"], cal["q"],
+        cal["n_draws"] if draws is None else draws, run.seed, workers=run.workers,
+    )
+    run.echo_generated_seed()
     _echo_table(sorted(thresholds.items()), header=("effect", "threshold"))
-    target = Path(output) if output else _out_dir(None, cfg, base) / "thresholds.json"
+    target = Path(output) if output else run.output_dir / "thresholds.json"
     target.parent.mkdir(parents=True, exist_ok=True)
-    fileio.write_thresholds(target, thresholds, p=x.p)
+    fileio.write_thresholds(target, thresholds, p=run.x.p)
     click.echo(f"wrote {target}")
 
 

@@ -28,6 +28,7 @@ from .assignment import combination_multiset
 from .balance import CovarianceModel, CovariateMatrix
 from .criteria import chi2_cdf
 from .design import DesignSpec, ModelMatrix
+from .errors import DimensionMismatch
 
 # Work unit of the rerandomization loop.  Small enough that the overshoot
 # past an accepted draw stays negligible.
@@ -65,9 +66,12 @@ def ordered_parallel_map(
 
     Results come back in input order no matter how threads are scheduled, so
     reductions over the stream are deterministic.  The input iterable may be
-    infinite; the consumer breaks out when done.
+    infinite; the consumer breaks out when done.  Every sampling stream runs
+    through here, so this is where ``workers`` is checked.
     """
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    if workers == 1:
         for item in items:
             yield fn(item)
         return
@@ -168,7 +172,7 @@ class BalanceKernel:
         thresholds: dict[str, float],
     ):
         if spec.n != x.n:
-            raise ValueError(f"covariates have {x.n} rows for a design of {spec.n} units")
+            raise DimensionMismatch(f"covariates have {x.n} rows for a design of {spec.n} units")
         self.spec = spec
         self.mm = mm
         self.cm = cm

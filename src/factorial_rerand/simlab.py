@@ -15,12 +15,11 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import sampling
+from . import engine, sampling
 from .balance import CovariateMatrix, fit_covariance
 from .criteria import (
     AcceptanceRule,
     VarianceFactor,
-    resolve_thresholds,
     implied_acceptance_probability,
     variance_factor,
 )
@@ -62,9 +61,14 @@ class OutcomeModel:
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)
         if beta.ndim != 1:
             raise DimensionMismatch(f"beta must be 1-d, got shape {beta.shape}")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("beta must be finite")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "effects", dict(self.effects))
+        if not isinstance(self.effects, Mapping):
+            raise ValueError(f"effects must map effect names to sizes, got {self.effects!r}")
+        object.__setattr__(self, "effects", {str(k): float(v) for k, v in self.effects.items()})
+        object.__setattr__(self, "grand_mean", float(self.grand_mean))
         if (self.sigma is None) == (self.target_r2 is None):
             raise ValueError("give exactly one of sigma or target_r2")
         if self.sigma is not None and self.sigma < 0:
@@ -199,26 +203,6 @@ def unit_level_r2(po: PotentialOutcomes, x: CovariateMatrix) -> float:
 
 # ---------------------------------------------------------------------------
 # Distributional studies
-
-
-def _kernel_for(
-    spec: DesignSpec, x: CovariateMatrix, rule: AcceptanceRule
-) -> tuple[ModelMatrix, sampling.BalanceKernel, dict[str, float]]:
-    if x.n != spec.n:
-        raise DimensionMismatch(
-            f"covariates have {x.n} rows but the design allocates {spec.n} units"
-        )
-    if rule.p != x.p:
-        raise DimensionMismatch(
-            f"acceptance rule expects {rule.p} covariates, covariate matrix has {x.p}"
-        )
-    mm = expand_model_matrix(build_design_matrix(spec))
-    for effect in rule.monitored_effects:
-        mm.column_index(effect)
-    cm = fit_covariance(x)
-    thresholds = resolve_thresholds(rule)
-    kernel = sampling.BalanceKernel(x, spec, mm, cm, thresholds)
-    return mm, kernel, thresholds
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,8 +345,10 @@ def variance_study(
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
-    mm, kernel, thresholds = _kernel_for(spec, x, rule)
+    mm, kernel, thresholds = engine._prepare(x, spec, rule, None)
     labels = tuple(effects) if effects is not None else mm.effect_labels
+    if not labels:
+        raise ValueError("at least one effect is required")
     for lab in labels:
         mm.column_index(lab)
     rx = report_x if report_x is not None else x
@@ -530,7 +516,7 @@ def independence_study(
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
-    mm, kernel, thresholds = _kernel_for(spec, x, rule)
+    mm, kernel, thresholds = engine._prepare(x, spec, rule, None)
     labels = rule.monitored_effects
     n_eff, p = len(labels), x.p
     a_vec = np.array([thresholds[lab] for lab in labels])
@@ -612,6 +598,9 @@ def calibrate_empirical_thresholds(
     if not labels:
         raise ValueError("at least one effect is required")
     if isinstance(q, Mapping):
+        missing = [lab for lab in labels if lab not in q]
+        if missing:
+            raise ValueError(f"no quantile target for effects {missing}")
         q_of = {lab: float(q[lab]) for lab in labels}
     else:
         q_of = {lab: float(q) for lab in labels}

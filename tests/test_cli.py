@@ -1,12 +1,33 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from factorial_rerand import fileio
 from factorial_rerand.balance import CovariateMatrix
 from factorial_rerand.cli import main
+
+CONFIG = {
+    "design": {"k": 2, "r": 8},
+    "covariates": {"path": "cov.csv"},
+    "rule": {
+        "mode": "chi2",
+        "tiers": [{"name": "mains", "effects": ["A", "B"], "joint_prob": 0.25}],
+    },
+    "seed": 424242,
+    "output_dir": "out",
+    "test": {"n_draws": 150},
+    "simulation": {
+        "study": "variance",
+        "n_reps": 400,
+        "model": {"effects": {"A": 1.5}, "beta": [1.0, 1.0], "target_r2": 0.5},
+    },
+    "calibration": {"effects": ["A", "B"], "q": 0.5, "n_draws": 2000},
+}
 
 
 @pytest.fixture
@@ -19,23 +40,7 @@ def workdir(tmp_path):
     rng = np.random.default_rng(42)
     x = CovariateMatrix(rng.normal(size=(32, 2)), names=("x1", "x2"))
     fileio.write_covariates(tmp_path / "cov.csv", x)
-    cfg = {
-        "design": {"k": 2, "r": 8},
-        "covariates": {"path": "cov.csv"},
-        "rule": {
-            "mode": "chi2",
-            "tiers": [{"name": "mains", "effects": ["A", "B"], "joint_prob": 0.25}],
-        },
-        "seed": 424242,
-        "output_dir": "out",
-        "test": {"n_draws": 150},
-        "simulation": {
-            "study": "variance",
-            "n_reps": 400,
-            "model": {"effects": {"A": 1.5}, "beta": [1.0, 1.0], "target_r2": 0.5},
-        },
-        "calibration": {"effects": ["A", "B"], "q": 0.5, "n_draws": 2000},
-    }
+    cfg = copy.deepcopy(CONFIG)
     (tmp_path / "run.json").write_text(json.dumps(cfg))
     return tmp_path, cfg
 
@@ -193,6 +198,8 @@ def test_exit_code_dimension_mismatch(runner, workdir):
     _write_cfg(tmp_path, cfg)
     result = runner.invoke(main, ["allocate", "--config", str(tmp_path / "run.json")])
     assert result.exit_code == 4
+    result = runner.invoke(main, ["calibrate", "--config", str(tmp_path / "run.json")])
+    assert result.exit_code == 4
 
 
 def test_exit_code_singular_covariance(runner, workdir):
@@ -213,3 +220,124 @@ def test_exit_code_max_draws(runner, workdir):
     _write_cfg(tmp_path, cfg)
     result = runner.invoke(main, ["allocate", "--config", str(tmp_path / "run.json")])
     assert result.exit_code == 6
+
+
+@pytest.fixture
+def allocated(runner, workdir):
+    """A workdir with an accepted allocation and outcomes, ready for every command."""
+    tmp_path, cfg = workdir
+    assert runner.invoke(main, ["allocate", "--config", str(tmp_path / "run.json")]).exit_code == 0
+    y = np.random.default_rng(9).normal(size=32)
+    fileio.write_outcomes(tmp_path / "y.csv", y)
+    return tmp_path, cfg
+
+
+def _command_args(command, tmp_path):
+    args = [command, "--config", str(tmp_path / "run.json")]
+    if command in ("diagnose", "test"):
+        args += ["--allocation", str(tmp_path / "out" / "allocation.csv")]
+    if command == "test":
+        args += ["--outcomes", str(tmp_path / "y.csv")]
+    return args
+
+
+DROP = object()
+
+
+def _mutate(cfg, path, value):
+    """Set the node at ``path`` to ``value``, or delete it for DROP."""
+    *parents, last = path
+    for key in parents:
+        cfg = cfg[key]
+    if value is DROP:
+        del cfg[last]
+    else:
+        cfg[last] = copy.deepcopy(value)
+
+
+def _assert_clean_exit(result, codes):
+    assert result.exit_code in codes, result.output
+    # A SystemExit carries the code; anything else escaped as a traceback.
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code:
+        assert "error: " in result.output
+
+
+# (command, config path to replace, new value, extra flags): each must exit 3.
+MALFORMED = [
+    ("allocate", ("rule", "mode"), "bogus", []),
+    ("test", ("rule", "mode"), "bogus", []),
+    ("allocate", ("workers",), "two", []),
+    ("allocate", ("workers",), 0, []),
+    ("allocate", ("workers",), 2.5, []),
+    ("allocate", None, None, ["--workers", "0"]),
+    ("allocate", ("seed",), "abc", []),
+    ("allocate", ("seed",), -1, []),
+    ("allocate", ("seed",), True, []),
+    ("allocate", None, None, ["--seed", "-1"]),
+    ("allocate", ("max_draws",), "lots", []),
+    ("allocate", ("rule", "tiers"), {"a": 1}, []),
+    ("allocate", ("rule", "tiers", 0, "effects"), ["A", "Z"], []),
+    ("test", ("test", "n_draws"), 50, []),
+    ("test", None, None, ["--effects", "Z"]),
+    ("diagnose", None, None, ["--effects", "Z"]),
+    ("simulate", ("simulation", "n_reps"), 1, []),
+    ("simulate", ("simulation", "effects"), ["Q"], []),
+]
+
+
+@pytest.mark.parametrize("command, path, value, flags", MALFORMED)
+def test_malformed_input_exits_3_without_traceback(runner, allocated, command, path, value, flags):
+    tmp_path, cfg = allocated
+    if path is not None:
+        _mutate(cfg, path, value)
+        _write_cfg(tmp_path, cfg)
+    result = runner.invoke(main, _command_args(command, tmp_path) + flags)
+    _assert_clean_exit(result, {3})
+
+
+def test_design_too_large_to_expand_exits_3(runner, workdir):
+    tmp_path, cfg = workdir
+    # K=13 passes DesignSpec (K <= 20) but not the dense 4^K model matrix.
+    x = CovariateMatrix(np.random.default_rng(3).normal(size=(8192, 2)), names=("x1", "x2"))
+    fileio.write_covariates(tmp_path / "cov.csv", x)
+    cfg["design"] = {"k": 13, "r": 1}
+    _write_cfg(tmp_path, cfg)
+    result = runner.invoke(main, ["allocate", "--config", str(tmp_path / "run.json")])
+    _assert_clean_exit(result, {3})
+    assert "exceeds the cap" in result.output
+    assert runner.invoke(main, ["design", "--k", "15"]).exit_code == 0
+
+
+def _node_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _node_paths(child, prefix + (key,))
+
+
+MUTATION = st.tuples(
+    st.sampled_from(sorted(_node_paths(CONFIG), key=repr)),
+    st.sampled_from([DROP, None, True, -1, 0, 2.5, "x", [], {}]),
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=2))
+def test_mutated_config_exits_with_a_documented_code(runner, allocated, mutations):
+    tmp_path, _ = allocated
+    cfg = copy.deepcopy(CONFIG)
+    for path, value in mutations:
+        try:
+            _mutate(cfg, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    _write_cfg(tmp_path, cfg)
+    for command in ("allocate", "test", "simulate"):
+        result = runner.invoke(main, _command_args(command, tmp_path))
+        _assert_clean_exit(result, {0, 2, 3, 4, 5, 6})

@@ -1,12 +1,19 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from factorial_rerand import engine, sampling
+from factorial_rerand import engine, sampling, simlab
 from factorial_rerand.assignment import Allocation, AssignmentMatrix, expand_assignment
 from factorial_rerand.balance import CovariateMatrix, balance_profile, fit_covariance
-from factorial_rerand.criteria import AcceptanceRule, Tier, accept, resolve_thresholds
+from factorial_rerand.criteria import (
+    AcceptanceRule,
+    Tier,
+    accept,
+    implied_acceptance_probability,
+    resolve_thresholds,
+)
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 from factorial_rerand.engine import (
     estimate_effects,
@@ -49,6 +56,18 @@ def test_rerandomize_is_deterministic_across_worker_counts(small_problem):
     assert not np.array_equal(
         base.allocation.combo_of_unit, different.allocation.combo_of_unit
     )
+    # Every sampling entry point refuses a worker count below one.
+    y = np.zeros(32)
+    entry_points = [
+        lambda w: rerandomize(x, spec, rule, seed=9, workers=w),
+        lambda w: randomization_test(y, base.allocation, x, rule, ("A",), 100, seed=1, workers=w),
+        lambda w: simlab.variance_study(spec, x, rule, None, 10, seed=1, workers=w),
+        lambda w: simlab.independence_study(spec, x, rule, 10, seed=1, workers=w),
+        lambda w: simlab.calibrate_empirical_thresholds(spec, x, ("A",), 0.5, 10, 1, workers=w),
+    ]
+    for run in entry_points:
+        with pytest.raises(ValueError, match="workers must be positive"):
+            run(0)
 
 
 def test_rerandomize_float_tie_falls_through_to_next_survivor_of_same_batch(
@@ -198,6 +217,47 @@ def test_randomization_test_deterministic_across_workers(small_problem):
     four = randomization_test(y, result.allocation, x, rule, ("A",), n_draws=150, seed=6, workers=4)
     assert one.p_values == four.p_values
     assert one.draws_scanned == four.draws_scanned
+
+
+def test_randomization_test_counts_reference_draws_that_split_like_the_observed():
+    # With 8 units a reference draw often splits the units exactly like the
+    # observed allocation, or mirrors it.  Its statistic then ties |t_obs| and
+    # must count.  Recount every p-value in exact arithmetic over the same
+    # reference stream.
+    spec = DesignSpec(k=2, r=2)
+    rule = AcceptanceRule(tiers=(Tier("mains", ("A", "B"), joint_prob=0.5),), p=2)
+    labels, n_draws = ("A", "B", "AB"), 100
+    ties = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        x = CovariateMatrix(rng.normal(size=(8, 2)), names=("x1", "x2"))
+        y = rng.normal(size=8)
+        observed = rerandomize(x, spec, rule, seed=seed).allocation
+        result = randomization_test(y, observed, x, rule, labels, n_draws=n_draws, seed=seed)
+
+        _, kernel, _ = engine._prepare(x, spec, rule, None)
+        prob = implied_acceptance_probability(rule)
+        stream = sampling.accepted_stream(
+            lambda rng, limit: kernel.screen(rng, limit, n_draws, prob),
+            seed, sampling.PURPOSE_REFERENCE, sampling.STUDY_BATCH, n_draws,
+            10 * engine.DEFAULT_MAX_DRAWS, 1,
+        )
+        rows = [row for indices, batch in stream for row in batch[: indices.size]]
+        assert len(rows) == n_draws
+        exact_y = [Fraction(v) for v in y]
+        for lab in labels:
+            lookup = kernel.sign_lookup(lab)
+
+            def contrast(combos):
+                return abs(sum(int(s) * v for s, v in zip(lookup[combos], exact_y)))
+
+            t_obs = contrast(observed.combo_of_unit)
+            exceed = sum(contrast(row) >= t_obs for row in rows)
+            # |s . s_obs| = n exactly when the sign column is +-s_obs.
+            s_obs = lookup[observed.combo_of_unit]
+            ties += sum(abs(lookup[row] @ s_obs) == spec.n for row in rows)
+            assert result.p_values[lab] == (1 + exceed) / (1 + n_draws), (seed, lab)
+    assert ties > 0
 
 
 def test_randomization_test_minimum_draws(small_problem):
