@@ -4,6 +4,10 @@ For each factorial effect, the units split into a +1 group and a -1 group of
 equal size.  Balance for that effect is the vector of covariate mean
 differences between the groups, summarized by a squared Mahalanobis distance
 in the metric of the (allocation-independent) covariate covariance.
+
+Every distance in the package is ``squared_distance`` of a ``mean_diff_block``
+taken over whitened covariates, or of one ``CovarianceModel.whiten`` maps:
+with z_f the whitened d_f, M_f = (n/4) d_f' S^{-1} d_f = (n/4) |z_f|^2.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .assignment import AssignmentMatrix
 from .errors import DimensionMismatch, SingularCovariance
@@ -58,6 +61,10 @@ class CovariateMatrix:
     def p(self) -> int:
         return self.entries.shape[1]
 
+    def centered(self) -> np.ndarray:
+        """The entries minus their column means."""
+        return self.entries - self.entries.mean(axis=0)
+
     def column(self, name: str) -> np.ndarray:
         try:
             return self.entries[:, self.names.index(name)]
@@ -78,20 +85,25 @@ class CovariateMatrix:
 class CovarianceModel:
     """Fixed covariance metric for balance scoring, shared by every allocation.
 
-    Holds the column means, the sample covariance (divisor n-1), and its
-    lower Cholesky factor.  Distances are computed through triangular solves
-    against the factor; the covariance is never inverted explicitly.
+    Holds the column means, the sample covariance S (divisor n-1) and the
+    whitener L^{-T}, L the lower Cholesky factor of S, so that d' S^{-1} d is
+    the squared norm of ``whiten(d)``.  The map is linear: it may whiten the
+    centered covariates once or a block of mean differences.
     """
 
     names: tuple[str, ...]
     means: np.ndarray
     matrix: np.ndarray
-    cholesky: np.ndarray
+    whitener: np.ndarray
     condition: float
 
     @property
     def p(self) -> int:
         return self.matrix.shape[0]
+
+    def whiten(self, rows: np.ndarray) -> np.ndarray:
+        """Rows in covariate units (covariates or mean differences), whitened."""
+        return rows @ self.whitener
 
 
 def fit_covariance(x: CovariateMatrix) -> CovarianceModel:
@@ -108,8 +120,7 @@ def fit_covariance(x: CovariateMatrix) -> CovarianceModel:
     if np.any(spans == 0.0):
         col = x.names[int(np.argmax(spans == 0.0))]
         raise SingularCovariance(f"covariate {col!r} has zero variance")
-    means = x.entries.mean(axis=0)
-    centered = x.entries - means
+    centered = x.centered()
     cov = centered.T @ centered / (n - 1)
     condition = float(np.linalg.cond(cov))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
@@ -118,14 +129,25 @@ def fit_covariance(x: CovariateMatrix) -> CovarianceModel:
             "drop or combine collinear covariates"
         )
     try:
-        chol = np.linalg.cholesky(cov)
+        whitener = np.ascontiguousarray(np.linalg.inv(np.linalg.cholesky(cov)).T)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"covariance factorization failed: {exc}") from exc
-    for arr in (means, cov, chol):
+    means = x.entries.mean(axis=0)
+    for arr in (means, cov, whitener):
         arr.setflags(write=False)
     return CovarianceModel(
-        names=x.names, means=means, matrix=cov, cholesky=chol, condition=condition
+        names=x.names, means=means, matrix=cov, whitener=whitener, condition=condition
     )
+
+
+def mean_diff_block(signs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(2/n) signs @ cols: the group-mean difference of ``cols`` for each row of +-1 signs."""
+    return signs @ cols * (2.0 / cols.shape[0])
+
+
+def squared_distance(white_diffs: np.ndarray, n: int) -> np.ndarray:
+    """(n/4) |dz|^2 for each row of a block of whitened mean differences."""
+    return (n / 4.0) * np.einsum("ij,ij->i", white_diffs, white_diffs)
 
 
 def mean_difference(x: CovariateMatrix, w: AssignmentMatrix, effect: str | int) -> np.ndarray:
@@ -137,8 +159,7 @@ def mean_difference(x: CovariateMatrix, w: AssignmentMatrix, effect: str | int) 
     label = _effect_label(w, effect)
     if x.n != w.n:
         raise DimensionMismatch(f"covariates have {x.n} rows but assignment has {w.n}")
-    col = w.column(label)
-    return (2.0 / x.n) * (x.entries.T @ col)
+    return mean_diff_block(w.column(label)[None, :], x.centered())[0]
 
 
 def mahalanobis(cm: CovarianceModel, d: np.ndarray, n: int) -> float:
@@ -148,8 +169,7 @@ def mahalanobis(cm: CovarianceModel, d: np.ndarray, n: int) -> float:
         raise DimensionMismatch(f"mean difference has shape {d.shape}, expected ({cm.p},)")
     if n < 2:
         raise ValueError("need at least two units")
-    z = solve_triangular(cm.cholesky, d, lower=True, check_finite=False)
-    return float((n / 4.0) * (z @ z))
+    return float(squared_distance(cm.whiten(d[None, :]), n)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,31 +219,23 @@ def balance_profile(
     The covariance model is fitted from x when not supplied; passing a
     prefitted model keeps repeated scoring consistent and cheap.
     """
-    labels = [_effect_label(w, e) for e in effects]
+    labels = list(dict.fromkeys(_effect_label(w, e) for e in effects))
     if not labels:
         raise ValueError("at least one effect is required")
-    seen: dict[str, None] = {}
-    for lab in labels:
-        seen.setdefault(lab, None)
-    labels = list(seen)
     if cm is None:
         cm = fit_covariance(x)
     elif cm.names != x.names:
         raise DimensionMismatch("covariance model columns do not match the covariate matrix")
     if x.n != w.n:
         raise DimensionMismatch(f"covariates have {x.n} rows but assignment has {w.n}")
-    diffs: dict[str, np.ndarray] = {}
-    dists: dict[str, float] = {}
-    for lab in labels:
-        d = mean_difference(x, w, lab)
-        d.setflags(write=False)
-        diffs[lab] = d
-        dists[lab] = mahalanobis(cm, d, x.n)
+    d = mean_diff_block(w.effect_columns(labels).T, x.centered())
+    m = squared_distance(cm.whiten(d), x.n)
+    d.setflags(write=False)
     return BalanceProfile(
         covariate_names=x.names,
         effects=tuple(labels),
-        mean_diffs=diffs,
-        distances=dists,
+        mean_diffs={lab: d[j] for j, lab in enumerate(labels)},
+        distances={lab: float(m[j]) for j, lab in enumerate(labels)},
     )
 
 

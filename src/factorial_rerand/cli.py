@@ -5,9 +5,9 @@ design, the covariate file, and the acceptance rule, so a study is fully
 reproducible from one file plus a seed.  Flags override the config where
 that is useful (seed, draw budget, workers, output locations).
 
-Exit codes: 2 usage, 3 unreadable or invalid input files and invalid config
-or flag values, 4 dimension mismatches, 5 singular covariance, 6 draw budget
-exhausted.
+Exit codes: 2 usage, 3 unreadable or invalid input files, invalid config or
+flag values and output paths that cannot be written, 4 dimension mismatches,
+5 singular covariance, 6 draw budget exhausted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import click
 
-from . import __version__, engine, fileio, simlab
+from . import __version__, engine, fileio, sampling, simlab
 from .assignment import expand_assignment
 from .balance import CovariateMatrix, balance_profile, fit_covariance
 from .criteria import AcceptanceRule, ThresholdMode, Tier, accept, resolve_thresholds
@@ -37,14 +37,18 @@ from .errors import (
 )
 
 # Every value the command line handles comes from outside the program, so a
-# ValueError raised deeper down is bad input too.  The subclasses come first.
+# ValueError raised deeper down is bad input too; reads raise ParseError, so an
+# OSError is an output path that cannot be written.  Subclasses come first.
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (ParseError, 3),
     (DimensionMismatch, 4),
     (SingularCovariance, 5),
     (MaxDrawsExceeded, 6),
     (ValueError, 3),
+    (OSError, 3),
 )
+
+_WORKERS_HELP = f"Worker threads for candidate scanning (1 to {sampling.MAX_WORKERS})."
 
 
 def _with_exit_codes(fn: Callable) -> Callable:
@@ -349,7 +353,7 @@ def design(k: int, r: int, order: str, factors: str | None, expanded: bool, outp
 @click.option("--config", "config_path", required=True, type=click.Path(exists=False))
 @click.option("--seed", type=int, help="Override the config seed.")
 @click.option("--max-draws", type=int, help="Override the draw budget.")
-@click.option("--workers", type=int, help="Worker threads for candidate scanning.")
+@click.option("--workers", type=int, help=_WORKERS_HELP)
 @click.option("-o", "--output-dir", type=click.Path(file_okay=False), help="Override the output directory.")
 @_with_exit_codes
 def allocate(
@@ -423,7 +427,7 @@ def diagnose(
 @click.option("--effects", help="Comma-separated effects to test (default: monitored).")
 @click.option("--draws", type=int, help="Reference draws (default 1000, or config test.n_draws).")
 @click.option("--seed", type=int, help="Override the config seed.")
-@click.option("--workers", type=int)
+@click.option("--workers", type=int, help=_WORKERS_HELP)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write results JSON here.")
 @_with_exit_codes
 def test(
@@ -459,7 +463,7 @@ def test(
 @click.option("--config", "config_path", required=True, type=click.Path(exists=False))
 @click.option("--reps", type=int, help="Override simulation.n_reps.")
 @click.option("--seed", type=int, help="Override the config seed.")
-@click.option("--workers", type=int)
+@click.option("--workers", type=int, help=_WORKERS_HELP)
 @click.option("-o", "--output-dir", type=click.Path(file_okay=False), help="Override the output directory.")
 @_with_exit_codes
 def simulate(
@@ -508,7 +512,7 @@ def simulate(
 @click.option("--config", "config_path", required=True, type=click.Path(exists=False))
 @click.option("--draws", type=int, help="Override calibration.n_draws.")
 @click.option("--seed", type=int, help="Override the config seed.")
-@click.option("--workers", type=int)
+@click.option("--workers", type=int, help=_WORKERS_HELP)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write thresholds JSON here.")
 @_with_exit_codes
 def calibrate(

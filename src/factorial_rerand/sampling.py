@@ -22,10 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .assignment import combination_multiset
-from .balance import CovarianceModel, CovariateMatrix
+from .balance import CovarianceModel, CovariateMatrix, mean_diff_block, squared_distance
 from .criteria import chi2_cdf
 from .design import DesignSpec, ModelMatrix
 from .errors import DimensionMismatch
@@ -36,11 +35,15 @@ ENGINE_BATCH = 64
 # Monte Carlo studies push much larger batches through the same kernel.
 STUDY_BATCH = 4096
 # Smallest chunk a screen draws: below this, per-call overhead of the score
-# and the triangular solve outweighs the rows saved.
+# outweighs the rows saved.
 MIN_CHUNK = 64
 # Chunks aim this far above the rows the implied acceptance rate predicts,
 # so that a batch rarely needs a second chunk.
 CHUNK_HEADROOM = 1.25
+
+# Most worker threads a sampling stream may run.  Each keeps one batch in
+# flight, so this bounds both the threads started and the batches in memory.
+MAX_WORKERS = 64
 
 # Stream purposes keep independent uses of one master seed apart.
 PURPOSE_RERANDOMIZE = 0
@@ -67,10 +70,13 @@ def ordered_parallel_map(
     Results come back in input order no matter how threads are scheduled, so
     reductions over the stream are deterministic.  The input iterable may be
     infinite; the consumer breaks out when done.  Every sampling stream runs
-    through here, so this is where ``workers`` is checked.
+    through here, so this is where ``workers`` is checked, before any thread
+    starts.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     if workers == 1:
         for item in items:
             yield fn(item)
@@ -156,11 +162,13 @@ def accepted_stream(
 class BalanceKernel:
     """Precomputed read-only state for scoring candidate allocations fast.
 
-    Holds the centered covariates, the Cholesky factor of their covariance,
-    and per-effect sign lookups indexed by the 1-based combination index
-    (entry 0 is padding, so gathers need no shifted copy of the indices).
-    Mean differences are shift-invariant (signed columns sum to zero), so
-    centering is exact, not an approximation.  Thread-safe by construction: nothing here mutates.
+    Holds the centered covariates, the same covariates whitened once
+    (``white``), and per-effect sign lookups indexed by the 1-based
+    combination index (entry 0 is padding, so gathers need no shifted copy of
+    the indices).  Mean differences are shift-invariant (signed columns sum to
+    zero), so centering is exact, not an approximation.  Over ``white`` they
+    come out whitened, so the screen runs no linear solve.  Thread-safe by
+    construction: nothing here mutates.
     """
 
     def __init__(
@@ -178,8 +186,10 @@ class BalanceKernel:
         self.cm = cm
         self.n = spec.n
         self.base = combination_multiset(spec)
-        self.centered = x.entries - x.entries.mean(axis=0)
-        self.centered.setflags(write=False)
+        self.centered = x.centered()
+        self.white = cm.whiten(self.centered)
+        for arr in (self.centered, self.white):
+            arr.setflags(write=False)
         self.thresholds = dict(thresholds)
         # Screen the most selective effect first: survivors shrink fastest.
         self.screen_order = sorted(
@@ -208,15 +218,13 @@ class BalanceKernel:
     def mean_diffs(
         self, combos: np.ndarray, label: str, centered: np.ndarray | None = None
     ) -> np.ndarray:
-        """(batch, p) mean-difference vectors for one effect."""
-        x = self.centered if centered is None else centered
-        signs = self.sign_lookup(label)[combos]
-        return signs @ x * (2.0 / self.n)
+        """(batch, p) mean-difference vectors for one effect, over ``centered`` columns."""
+        cols = self.centered if centered is None else centered
+        return mean_diff_block(self.sign_lookup(label)[combos], cols)
 
     def distances(self, diffs: np.ndarray) -> np.ndarray:
-        """Squared Mahalanobis distances for a (batch, p) block of differences."""
-        z = solve_triangular(self.cm.cholesky, diffs.T, lower=True, check_finite=False)
-        return (self.n / 4.0) * np.einsum("ij,ij->j", z, z)
+        """Squared Mahalanobis distances for a (batch, p) block of covariate-unit differences."""
+        return squared_distance(self.cm.whiten(diffs), self.n)
 
     def surviving(self, combos: np.ndarray) -> np.ndarray:
         """Indices (ascending) of candidates passing every monitored threshold."""
@@ -224,7 +232,8 @@ class BalanceKernel:
         for label in self.screen_order:
             if alive.size == 0:
                 break
-            keep = self.distances(self.mean_diffs(combos, label)) <= self.thresholds[label]
+            dz = self.mean_diffs(combos, label, self.white)
+            keep = squared_distance(dz, self.n) <= self.thresholds[label]
             alive, combos = alive[keep], combos[keep]
         return alive
 
@@ -256,11 +265,9 @@ class BalanceKernel:
 
     def all_distances(self, combos: np.ndarray, labels: Iterable[str]) -> np.ndarray:
         """(batch, n_effects) distance matrix with no early exit (for studies)."""
-        labels = tuple(labels)
-        out = np.empty((combos.shape[0], len(labels)))
-        for j, label in enumerate(labels):
-            out[:, j] = self.distances(self.mean_diffs(combos, label))
-        return out
+        return np.column_stack(
+            [squared_distance(self.mean_diffs(combos, lab, self.white), self.n) for lab in labels]
+        )
 
     def estimates(self, combos: np.ndarray, label: str, y_table: np.ndarray) -> np.ndarray:
         """Effect estimates (2/n) y_obs . w_f for a batch, given potential outcomes.

@@ -354,7 +354,7 @@ def variance_study(
     rx = report_x if report_x is not None else x
     if rx.n != x.n:
         raise DimensionMismatch("report covariates must cover the same units")
-    rx_centered = rx.entries - rx.entries.mean(axis=0)
+    rx_centered = rx.centered()
     n_eff, n_cov = len(labels), rx.p
 
     po = None
@@ -368,27 +368,17 @@ def variance_study(
         max_draws = max(1_000_000, int(12 * n_reps * per_accept))
 
     def batch_stats(combos: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        d = np.empty((combos.shape[0], n_eff, n_cov))
-        for j, lab in enumerate(labels):
-            d[:, j, :] = kernel.mean_diffs(combos, lab, centered=rx_centered)
-        th = None
-        if po is not None:
-            th = np.empty((combos.shape[0], n_eff))
-            for j, lab in enumerate(labels):
-                th[:, j] = kernel.estimates(combos, lab, po.table)
-        return d, th
+        d = np.stack([kernel.mean_diffs(combos, lab, rx_centered) for lab in labels], axis=1)
+        if po is None:
+            return d, None
+        return d, np.column_stack([kernel.estimates(combos, lab, po.table) for lab in labels])
 
     batch = sampling.STUDY_BATCH
-    d_pure = np.empty((n_reps, n_eff, n_cov))
-    th_pure = np.empty((n_reps, n_eff)) if po is not None else None
-    done = 0
-    for d, th in sampling.pure_stream(
+    pure = list(sampling.pure_stream(
         kernel, batch_stats, seed, sampling.PURPOSE_STUDY_PURE, batch, n_reps, workers
-    ):
-        d_pure[done : done + d.shape[0]] = d
-        if th_pure is not None:
-            th_pure[done : done + d.shape[0]] = th
-        done += d.shape[0]
+    ))
+    d_pure = np.concatenate([d for d, _ in pure])
+    th_pure = None if po is None else np.concatenate([th for _, th in pure])
 
     d_acc = np.empty((n_reps, n_eff, n_cov))
     th_acc = np.empty((n_reps, n_eff)) if po is not None else None
@@ -521,24 +511,16 @@ def independence_study(
     n_eff, p = len(labels), x.p
     a_vec = np.array([thresholds[lab] for lab in labels])
 
-    m_all = np.empty((n_reps, n_eff))
-    d_all = np.empty((n_reps, n_eff, p))
-
     def scan(combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = np.empty((combos.shape[0], n_eff, p))
-        m = np.empty((combos.shape[0], n_eff))
-        for j, lab in enumerate(labels):
-            d[:, j, :] = kernel.mean_diffs(combos, lab)
-            m[:, j] = kernel.distances(d[:, j, :])
-        return m, d
+        # The indicators come from the screen's own scores; d stays in covariate units.
+        d = np.stack([kernel.mean_diffs(combos, lab) for lab in labels], axis=1)
+        return kernel.all_distances(combos, labels), d
 
-    done = 0
-    for m, d in sampling.pure_stream(
+    blocks = list(sampling.pure_stream(
         kernel, scan, seed, sampling.PURPOSE_STUDY_PURE, sampling.STUDY_BATCH, n_reps, workers
-    ):
-        m_all[done : done + m.shape[0]] = m
-        d_all[done : done + m.shape[0]] = d
-        done += m.shape[0]
+    ))
+    m_all = np.concatenate([m for m, _ in blocks])
+    d_all = np.concatenate([d for _, d in blocks])
 
     indicators = m_all <= a_vec[None, :]
     marginal = indicators.mean(axis=0)
@@ -611,21 +593,11 @@ def calibrate_empirical_thresholds(
     mm = expand_model_matrix(build_design_matrix(spec))
     for lab in labels:
         mm.column_index(lab)
-    cm = fit_covariance(x)
-    kernel = sampling.BalanceKernel(x, spec, mm, cm, thresholds={})
-    m_all = np.empty((n_draws, len(labels)))
-    done = 0
-    for m in sampling.pure_stream(
-        kernel,
-        lambda combos: kernel.all_distances(combos, labels),
-        seed,
-        sampling.PURPOSE_CALIBRATE,
-        sampling.STUDY_BATCH,
-        n_draws,
-        workers,
-    ):
-        m_all[done : done + m.shape[0]] = m
-        done += m.shape[0]
+    kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), thresholds={})
+    m_all = np.concatenate(list(sampling.pure_stream(
+        kernel, lambda combos: kernel.all_distances(combos, labels), seed,
+        sampling.PURPOSE_CALIBRATE, sampling.STUDY_BATCH, n_draws, workers,
+    )))
     return {
         lab: float(np.quantile(m_all[:, j], q_of[lab], method="linear"))
         for j, lab in enumerate(labels)

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import factorial_rerand
 from oracles import mahalanobis_direct
 from factorial_rerand.assignment import Allocation, AssignmentMatrix, random_allocation, expand_assignment
 from factorial_rerand.balance import (
@@ -172,3 +177,16 @@ def test_profile_rejects_row_mismatch():
     x = CovariateMatrix(rng.normal(size=(12, 2)), names=("one", "two"))
     with pytest.raises(DimensionMismatch):
         balance_profile(x, w, ("A",))
+
+
+def test_package_imports_without_scipy():
+    code = (
+        "import sys, factorial_rerand, factorial_rerand.cli, factorial_rerand.simlab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = str(Path(factorial_rerand.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

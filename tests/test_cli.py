@@ -1,5 +1,6 @@
 import copy
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from factorial_rerand import fileio
+from factorial_rerand import fileio, sampling
 from factorial_rerand.balance import CovariateMatrix
 from factorial_rerand.cli import main
 
@@ -294,6 +295,39 @@ def test_malformed_input_exits_3_without_traceback(runner, allocated, command, p
         _write_cfg(tmp_path, cfg)
     result = runner.invoke(main, _command_args(command, tmp_path) + flags)
     _assert_clean_exit(result, {3})
+
+
+# cov.csv is an existing file, so neither it nor a path inside it can be written.
+@pytest.mark.parametrize(
+    "command, output_dir, output",
+    [
+        ("allocate", "cov.csv", None),
+        ("calibrate", "cov.csv", None),
+        ("simulate", "cov.csv", None),
+        ("calibrate", "out", "cov.csv/t.json"),
+    ],
+)
+def test_unwritable_output_path_exits_3(runner, workdir, command, output_dir, output):
+    tmp_path, cfg = workdir
+    cfg["output_dir"] = output_dir
+    _write_cfg(tmp_path, cfg)
+    flags = [] if output is None else ["-o", str(tmp_path / output)]
+    result = runner.invoke(main, _command_args(command, tmp_path) + flags)
+    _assert_clean_exit(result, {3})
+    assert result.output.count("error: ") == 1
+
+
+def test_workers_above_the_limit_exit_3_before_any_thread_starts(runner, workdir, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    tmp_path, _ = workdir
+    threads = threading.active_count()
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+    result = runner.invoke(main, _command_args("allocate", tmp_path) + ["--workers", str(10**6)])
+    _assert_clean_exit(result, {3})
+    assert f"at most {sampling.MAX_WORKERS}" in result.output
+    assert threading.active_count() == threads
 
 
 def test_design_too_large_to_expand_exits_3(runner, workdir):

@@ -1,15 +1,24 @@
+import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from oracles import mahalanobis_direct
 from factorial_rerand import sampling
 from factorial_rerand.assignment import Allocation, expand_assignment
-from factorial_rerand.balance import CovariateMatrix, balance_profile, fit_covariance
+from factorial_rerand.balance import (
+    CovariateMatrix,
+    balance_profile,
+    fit_covariance,
+    mahalanobis,
+    mean_difference,
+)
 from factorial_rerand.criteria import AcceptanceRule, Tier, accept, resolve_thresholds
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
+from factorial_rerand.errors import SingularCovariance
 
 
 def test_batch_rng_streams_are_keyed_not_sequential():
@@ -57,6 +66,20 @@ def test_ordered_parallel_map_propagates_exceptions():
         list(sampling.ordered_parallel_map(boom, range(6), workers=2))
 
 
+def test_ordered_parallel_map_refuses_workers_above_the_limit(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    threads = threading.active_count()
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=f"at most {sampling.MAX_WORKERS}"):
+        list(sampling.ordered_parallel_map(lambda i: i, range(3), 10**6))
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    out = sampling.ordered_parallel_map(lambda i: i * i, range(3), sampling.MAX_WORKERS)
+    assert list(out) == [0, 1, 4]
+
+
 @pytest.fixture
 def kernel_setup():
     rng = np.random.default_rng(31)
@@ -93,6 +116,63 @@ def test_kernel_matches_reference_path(kernel_setup):
             assert np.allclose(d_kernel, profile.d(eff), atol=1e-12)
             assert m_block[i, j] == pytest.approx(profile.m(eff), rel=1e-12)
         assert (i in survivors) == accept(profile, rule)
+
+
+# Column scales of the paper's school-district battery: counts near 1e3 sit
+# next to proportions near 1e-2.
+SCALES = st.sampled_from([1e3, 1.0, 1e-2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    r=st.integers(2, 5),
+    p=st.integers(1, 4),
+    scales=st.lists(SCALES, min_size=4, max_size=4),
+    joint=st.floats(0.05, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_scoring_route_gives_one_distance(k, r, p, scales, joint, seed):
+    spec = DesignSpec(k=k, r=r)
+    assume(spec.n >= p + 2)
+    rng = np.random.default_rng(seed)
+    # A random affine image of normal covariates, then mixed column scales.
+    a = rng.normal(size=(p, p)) + 2.0 * np.eye(p)
+    loc = rng.uniform(-5.0, 5.0, size=p)
+    entries = (rng.normal(size=(spec.n, p)) @ a + loc) * np.array(scales[:p])
+    x = CovariateMatrix(entries, names=tuple(f"x{j}" for j in range(p)))
+    try:
+        cm = fit_covariance(x)
+    except SingularCovariance:  # condition number above CONDITION_LIMIT
+        reject()
+    mm = expand_model_matrix(build_design_matrix(spec))
+    effects = mm.effect_labels
+    rule = AcceptanceRule(tiers=(Tier("all", effects, joint_prob=joint),), p=p)
+    kernel = sampling.BalanceKernel(x, spec, mm, cm, resolve_thresholds(rule))
+
+    limit = 24
+    combos = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit)
+    block = kernel.all_distances(combos, effects)
+    accepted = []
+    for i in range(limit):
+        w = expand_assignment(Allocation(spec=spec, combo_of_unit=combos[i]), mm)
+        profile = balance_profile(x, w, effects, cm=cm)
+        for j, eff in enumerate(effects):
+            m = profile.m(eff)
+            routes = (
+                block[i, j],
+                kernel.distances(kernel.mean_diffs(combos[i : i + 1], eff))[0],
+                mahalanobis(cm, mean_difference(x, w, eff), spec.n),
+            )
+            for route in routes:
+                assert route == pytest.approx(m, rel=1e-12)
+            direct = mahalanobis_direct(profile.d(eff), cm.matrix, spec.n)
+            assert m == pytest.approx(direct, rel=1e-9)
+        if accept(profile, rule):
+            accepted.append(i)
+    rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
+    positions, _ = kernel.screen(rng, limit, limit, 0.5)
+    assert positions.tolist() == accepted
 
 
 def test_kernel_estimates_match_inner_product(kernel_setup):
