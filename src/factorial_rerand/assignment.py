@@ -48,8 +48,13 @@ class Allocation:
 
 
 def combination_multiset(spec: DesignSpec) -> np.ndarray:
-    """The fixed multiset of combination indices: each j repeated r times."""
-    return np.repeat(np.arange(1, spec.n_combinations + 1, dtype=np.int32), spec.r)
+    """The fixed multiset of combination indices: each j repeated r times.
+
+    Built as ``np.intp``: numpy shuffles 8-byte items on a fast path (about
+    1.5x faster per row than 4-byte items, with identical rows), and gathers
+    indexed by ``intp`` need no internal cast.
+    """
+    return np.repeat(np.arange(1, spec.n_combinations + 1, dtype=np.intp), spec.r)
 
 
 def random_allocation(

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import logging
+import os
 import secrets
 import sys
 from dataclasses import dataclass
@@ -286,6 +287,18 @@ class RunConfig:
             click.echo(f"seed: {self.seed} (generated)")
 
 
+def _output_dir(path: Path) -> Path:
+    """Create ``path`` and check that it can be written, before any drawing.
+
+    A path that cannot be written then exits 3 at once, not after a scan that
+    may take minutes.
+    """
+    path.mkdir(parents=True, exist_ok=True)
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(f"cannot write to {path}")
+    return path
+
+
 def _effect_list(text: str | None) -> tuple[str, ...] | None:
     if text is None:
         return None
@@ -367,12 +380,11 @@ def allocate(
     run = RunConfig.load(
         config_path, seed=seed, workers=workers, max_draws=max_draws, output_dir=output_dir
     )
+    out = _output_dir(run.output_dir)
     result = engine.rerandomize(
         run.x, run.spec, run.rule, run.seed, max_draws=run.max_draws, workers=run.workers
     )
 
-    out = run.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     fileio.write_allocation(out / "allocation.csv", result.allocation)
     fileio.write_json(out / "manifest.json", result.manifest(version=__version__))
     fileio.write_balance_report(out / "balance.csv", result.profile)
@@ -477,6 +489,7 @@ def simulate(
     run = RunConfig.load(config_path, seed=seed, workers=workers, output_dir=output_dir)
     sim = run.section("simulation")
     n_reps = sim["n_reps"] if reps is None else reps
+    out = _output_dir(run.output_dir / "study")
     run.echo_generated_seed()
 
     if sim["study"] == "independence":
@@ -504,7 +517,7 @@ def simulate(
         _echo_table(rows, header=("interaction_order", "mean_pct_reduction", "covariates"))
         if report.r2_realized is not None:
             click.echo(f"unit-level R^2: {report.r2_realized:.4f}")
-    written = fileio.write_study_report(run.output_dir / "study", report)
+    written = fileio.write_study_report(out, report)
     click.echo("wrote " + ", ".join(str(p) for p in written))
 
 
@@ -525,14 +538,14 @@ def calibrate(
     """Estimate per-effect thresholds as empirical distance quantiles."""
     run = RunConfig.load(config_path, seed=seed, workers=workers, with_rule=False)
     cal = run.section("calibration")
+    target = Path(output) if output else run.output_dir / "thresholds.json"
+    _output_dir(target.parent)
     thresholds = simlab.calibrate_empirical_thresholds(
         run.spec, run.x, cal["effects"], cal["q"],
         cal["n_draws"] if draws is None else draws, run.seed, workers=run.workers,
     )
     run.echo_generated_seed()
     _echo_table(sorted(thresholds.items()), header=("effect", "threshold"))
-    target = Path(output) if output else run.output_dir / "thresholds.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_thresholds(target, thresholds, p=run.x.p)
     click.echo(f"wrote {target}")
 

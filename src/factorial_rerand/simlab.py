@@ -371,7 +371,7 @@ def variance_study(
         d = np.stack([kernel.mean_diffs(combos, lab, rx_centered) for lab in labels], axis=1)
         if po is None:
             return d, None
-        return d, np.column_stack([kernel.estimates(combos, lab, po.table) for lab in labels])
+        return d, kernel.estimates(combos, labels, po.table)
 
     batch = sampling.STUDY_BATCH
     pure = list(sampling.pure_stream(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorial_rerand import fileio
 from factorial_rerand.assignment import (
     Allocation,
     combination_multiset,
@@ -46,6 +47,46 @@ def test_random_allocation_is_balanced_and_deterministic():
     assert a1.combo_of_unit.dtype == np.int32
     counts = np.bincount(a1.combo_of_unit, minlength=9)[1:]
     assert (counts == 5).all()
+
+
+@pytest.mark.parametrize("k, r", [(1, 2), (2, 3), (3, 5), (5, 43)])
+def test_intp_multiset_shuffles_to_the_rows_of_the_int32_multiset(k, r):
+    # The multiset is intp for numpy's 8-byte shuffle path; the stream of
+    # candidates must stay the one the int32 multiset gave.
+    spec = DesignSpec(k=k, r=r)
+    base = combination_multiset(spec)
+    assert base.dtype == np.intp
+    narrow = base.astype(np.int32)
+    for seed in (0, 7, 41, 2**40 + 3):
+        for rows in (1, 5, 64):
+            wide_rows = np.repeat(base[None, :], rows, axis=0)
+            np.random.default_rng(seed).permuted(wide_rows, axis=1, out=wide_rows)
+            narrow_rows = np.repeat(narrow[None, :], rows, axis=0)
+            np.random.default_rng(seed).permuted(narrow_rows, axis=1, out=narrow_rows)
+            assert np.array_equal(wide_rows, narrow_rows)
+        alloc = random_allocation(spec, np.random.default_rng(seed))
+        assert np.array_equal(alloc.combo_of_unit, np.random.default_rng(seed).permutation(narrow))
+
+
+def test_int64_rows_give_the_results_of_int32_rows(tmp_path):
+    spec = DesignSpec(k=3, r=4)
+    mm = _mm(spec)
+    wide = np.random.default_rng(5).permutation(combination_multiset(spec)).astype(np.int64)
+    allocs = [Allocation(spec=spec, combo_of_unit=row) for row in (wide, wide.astype(np.int32))]
+    for alloc in allocs:
+        assert alloc.combo_of_unit.dtype == np.int32
+    assert np.array_equal(allocs[0].combo_of_unit, allocs[1].combo_of_unit)
+    w64, w32 = (expand_assignment(a, mm) for a in allocs)
+    assert w64.entries.dtype == w32.entries.dtype
+    assert np.array_equal(w64.entries, w32.entries)
+    n64, n32 = (negate(a, mm).combo_of_unit for a in allocs)
+    assert n64.dtype == n32.dtype and np.array_equal(n64, n32)
+    paths = [tmp_path / "wide.csv", tmp_path / "narrow.csv"]
+    for path, alloc in zip(paths, allocs):
+        fileio.write_allocation(path, alloc)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    back = [fileio.read_allocation(path, spec).combo_of_unit for path in paths]
+    assert np.array_equal(back[0], wide) and np.array_equal(back[1], wide)
 
 
 def test_expand_assignment_k1_fixture():

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import threading
 
 import numpy as np
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from factorial_rerand import fileio, sampling
+from factorial_rerand import engine, fileio, sampling, simlab
 from factorial_rerand.balance import CovariateMatrix
 from factorial_rerand.cli import main
 
@@ -297,6 +298,19 @@ def test_malformed_input_exits_3_without_traceback(runner, allocated, command, p
     _assert_clean_exit(result, {3})
 
 
+def _forbid_drawing(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("drawing started before the output path was checked")
+
+    for module, name in (
+        (engine, "rerandomize"),
+        (simlab, "variance_study"),
+        (simlab, "independence_study"),
+        (simlab, "calibrate_empirical_thresholds"),
+    ):
+        monkeypatch.setattr(module, name, never)
+
+
 # cov.csv is an existing file, so neither it nor a path inside it can be written.
 @pytest.mark.parametrize(
     "command, output_dir, output",
@@ -307,14 +321,29 @@ def test_malformed_input_exits_3_without_traceback(runner, allocated, command, p
         ("calibrate", "out", "cov.csv/t.json"),
     ],
 )
-def test_unwritable_output_path_exits_3(runner, workdir, command, output_dir, output):
+def test_unwritable_output_path_exits_3(runner, workdir, monkeypatch, command, output_dir, output):
     tmp_path, cfg = workdir
     cfg["output_dir"] = output_dir
     _write_cfg(tmp_path, cfg)
+    _forbid_drawing(monkeypatch)
     flags = [] if output is None else ["-o", str(tmp_path / output)]
     result = runner.invoke(main, _command_args(command, tmp_path) + flags)
     _assert_clean_exit(result, {3})
     assert result.output.count("error: ") == 1
+
+
+@pytest.mark.parametrize("command", ["allocate", "simulate", "calibrate"])
+def test_output_directory_without_write_access_exits_3(runner, workdir, monkeypatch, command):
+    # Permission bits do not stop a superuser, so access to every directory is denied here.
+    tmp_path, _ = workdir
+    _forbid_drawing(monkeypatch)
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode, **kw: access(path, mode, **kw) and not os.path.isdir(path)
+    )
+    result = runner.invoke(main, _command_args(command, tmp_path))
+    _assert_clean_exit(result, {3})
+    assert "cannot write to" in result.output
 
 
 def test_workers_above_the_limit_exit_3_before_any_thread_starts(runner, workdir, monkeypatch):

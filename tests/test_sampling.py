@@ -179,13 +179,20 @@ def test_kernel_estimates_match_inner_product(kernel_setup):
     spec, mm, x, kernel, _, _ = kernel_setup
     combos = kernel.draw(np.random.default_rng(2), 8)
     y_table = np.random.default_rng(3).normal(size=(16, 4))
-    for eff in ("A", "AB"):
-        got = kernel.estimates(combos, eff, y_table)
+    effects = ("A", "B", "AB")
+    got = kernel.estimates(combos, effects, y_table)
+    assert got.shape == (8, len(effects))
+    padded = np.concatenate((np.zeros((16, 1)), y_table), axis=1)
+    y_block = padded[np.arange(16)[None, :], combos]
+    for j, eff in enumerate(effects):
+        # The one-effect computation gives each column bit for bit.
+        single = np.einsum("bn,bn->b", kernel.sign_lookup(eff)[combos], y_block) * (2.0 / 16)
+        assert np.array_equal(got[:, j], single)
         col_sign = mm.column(eff)
         for i in range(8):
             y_obs = y_table[np.arange(16), combos[i] - 1]
             w_col = col_sign[combos[i] - 1]
-            assert got[i] == pytest.approx(2.0 / 16.0 * (y_obs @ w_col), rel=1e-12)
+            assert got[i, j] == pytest.approx(2.0 / 16.0 * (y_obs @ w_col), rel=1e-12)
 
 
 def test_kernel_screen_order_most_selective_first(kernel_setup):
@@ -230,3 +237,38 @@ def test_pure_stream_draws_the_first_rows_of_each_batch(kernel_setup):
         kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32) for b in range(3)
     ]
     assert np.array_equal(got, np.concatenate(whole)[:75])
+
+
+def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
+    _, _, _, kernel, _, _ = kernel_setup
+    cap = sampling.MAX_CHUNK
+    limit = 3 * cap + 37
+    whole = kernel.draw(sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0), limit)
+    alive = kernel.surviving(whole)
+    batch, n = 2 * cap + 10, 3 * cap
+    pure = np.concatenate([
+        kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_CALIBRATE, b), batch) for b in range(2)
+    ])[:n]
+    sizes = []
+    draw = sampling.BalanceKernel.draw
+
+    def recording_draw(self, rng, size):
+        sizes.append(size)
+        return draw(self, rng, size)
+
+    monkeypatch.setattr(sampling.BalanceKernel, "draw", recording_draw)
+    rng = sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0)
+    positions, rows = kernel.screen(rng, limit, limit, 0.3)
+    assert sizes == [cap, cap, cap, 37]
+    assert np.array_equal(positions, alive)
+    assert np.array_equal(rows, whole[alive])
+
+    for workers in (1, 2):
+        sizes.clear()
+        chunks = list(sampling.pure_stream(
+            kernel, lambda rows: rows, 9, sampling.PURPOSE_CALIBRATE, batch, n, workers
+        ))
+        # One result per chunk, in order: batch 0 is 1034 rows, batch 1 the 502 left.
+        assert [c.shape[0] for c in chunks] == [cap, cap, 10, cap - 10]
+        assert sorted(sizes) == [10, cap - 10, cap, cap]
+        assert np.array_equal(np.concatenate(chunks), pure)
