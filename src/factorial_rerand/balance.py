@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .assignment import AssignmentMatrix
+from .design import check_effects
 from .errors import DimensionMismatch, SingularCovariance
 
 # Above this condition number the covariance is treated as numerically
@@ -241,10 +242,7 @@ def balance_profile(
 
 def _effect_label(w: AssignmentMatrix, effect: str | int) -> str:
     if isinstance(effect, str):
-        if effect == w.labels[0]:
-            raise ValueError("the mean column has no balance split")
-        w.column_index(effect)  # validates
-        return effect
+        return check_effects((effect,), w.labels[1:])[0]
     if not 1 <= effect < len(w.labels):
         raise ValueError(
             f"effect index must be in [1, {len(w.labels) - 1}], got {effect}"

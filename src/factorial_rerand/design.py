@@ -12,6 +12,7 @@ import itertools
 import string
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -200,6 +201,24 @@ def expand_model_matrix(g: DesignMatrix) -> ModelMatrix:
         order=g.order,
         factor_names=names,
     )
+
+
+def check_effects(effects: Sequence[str], known: Sequence[str]) -> tuple[str, ...]:
+    """A caller's effect list as a tuple, once each name is one of ``known``.
+
+    ``known`` is a model matrix's ``effect_labels``: the mean column has no
+    group split, so it is no effect to score, estimate or test.  A bare
+    string is refused rather than read as a list of one-letter names.
+    """
+    if isinstance(effects, str):
+        raise ValueError(f"effects must be a list of effect names, got the string {effects!r}")
+    labels = tuple(effects)
+    if not labels:
+        raise ValueError("at least one effect is required")
+    for label in labels:
+        if label not in known:
+            raise ValueError(f"{label!r} is not a factorial effect of this design")
+    return labels
 
 
 def effect_index(mm: ModelMatrix, name: str) -> int:

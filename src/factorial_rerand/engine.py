@@ -32,7 +32,7 @@ from .criteria import (
     implied_acceptance_probability,
     resolve_thresholds,
 )
-from .design import DesignSpec, ModelMatrix, build_design_matrix, expand_model_matrix
+from .design import DesignSpec, ModelMatrix, build_design_matrix, check_effects, expand_model_matrix
 from .errors import DimensionMismatch, MaxDrawsExceeded
 
 logger = logging.getLogger(__name__)
@@ -103,8 +103,7 @@ def _prepare(
         )
     if mm is None:
         mm = expand_model_matrix(build_design_matrix(spec))
-    for effect in rule.monitored_effects:
-        mm.column_index(effect)  # unknown effect fails fast
+    check_effects(rule.monitored_effects, mm.effect_labels)
     cm = fit_covariance(x)
     thresholds = resolve_thresholds(rule)
     kernel = sampling.BalanceKernel(x, spec, mm, cm, thresholds)
@@ -216,9 +215,7 @@ def estimate_effects(
     y = np.ascontiguousarray(y_obs, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != w.n:
         raise DimensionMismatch(f"outcomes have shape {y.shape}, expected ({w.n},)")
-    if not effects:
-        raise ValueError("at least one effect is required")
-    labels = tuple(effects)
+    labels = check_effects(effects, w.labels[1:])
     estimates: dict[str, float] = {}
     high: dict[str, float] = {}
     low: dict[str, float] = {}
@@ -295,9 +292,7 @@ def randomization_test(
     y = np.ascontiguousarray(y_obs, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise DimensionMismatch(f"outcomes have shape {y.shape}, expected ({spec.n},)")
-    if not effects:
-        raise ValueError("at least one effect is required")
-    labels = tuple(effects)
+    labels = check_effects(effects, mm.effect_labels)
     w_obs = expand_assignment(alloc_obs, mm)
     obs_profile = balance_profile(x, w_obs, rule.monitored_effects, cm=kernel.cm)
     if not accept(obs_profile, rule):

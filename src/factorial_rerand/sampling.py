@@ -29,7 +29,7 @@ import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -285,23 +285,7 @@ class BalanceKernel:
         return np.concatenate(positions), np.concatenate(rows)
 
     def all_distances(self, combos: np.ndarray, labels: Iterable[str]) -> np.ndarray:
-        """(batch, n_effects) distance matrix with no early exit (for studies)."""
+        """(batch, n_effects) distance matrix with no early exit (for calibration)."""
         return np.column_stack(
             [squared_distance(self.mean_diffs(combos, lab, self.white), self.n) for lab in labels]
         )
-
-    def estimates(
-        self, combos: np.ndarray, labels: Sequence[str], y_table: np.ndarray
-    ) -> np.ndarray:
-        """(batch, n_effects) estimates (2/n) y_obs . w_f, given potential outcomes.
-
-        ``y_table`` is (n, 2^K); each candidate observes its own column per
-        unit.  The observed outcomes are gathered once for every effect; each
-        effect's sign block lives only while its column is computed.
-        """
-        padded = np.concatenate((np.zeros((self.n, 1)), y_table), axis=1)
-        y_obs = padded[np.arange(self.n)[None, :], combos]
-        out = np.empty((combos.shape[0], len(labels)))
-        for j, label in enumerate(labels):
-            out[:, j] = np.einsum("bn,bn->b", self.sign_lookup(label)[combos], y_obs)
-        return out * (2.0 / self.n)

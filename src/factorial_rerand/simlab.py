@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import engine, sampling
-from .balance import CovariateMatrix, fit_covariance
+from .balance import CovariateMatrix, fit_covariance, squared_distance
 from .criteria import (
     AcceptanceRule,
     VarianceFactor,
@@ -27,6 +27,7 @@ from .design import (
     DesignSpec,
     ModelMatrix,
     build_design_matrix,
+    check_effects,
     effect_index,
     expand_model_matrix,
 )
@@ -342,62 +343,57 @@ def variance_study(
     scoring against the rule always uses ``x``.  With a model, effect
     estimates are tracked per draw and their variances compared against the
     predicted shrink; without one the study is covariate-only.
+
+    Estimate = estimand + unit-level mean difference.  The model's table is
+    y_i(j) = mu_j + u_i, so effect f's estimate (2/n) sum_i s_f(c_i) y_i(c_i)
+    is theta_f, exactly, under any balanced allocation, plus the mean
+    difference (2/n) sum_i s_f(c_i) u_i of the unit level u (the row mean).
+    So u is scored as one more column beside the report covariates.  Only
+    u's covariate-explained share shrinks, by v_a, which is why the predicted
+    ratio 1 - (1 - v_a) R^2 takes R^2 on the unit level (``unit_level_r2``).
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
     mm, kernel, thresholds = engine._prepare(x, spec, rule, None)
-    labels = tuple(effects) if effects is not None else mm.effect_labels
-    if not labels:
-        raise ValueError("at least one effect is required")
-    for lab in labels:
-        mm.column_index(lab)
+    labels = check_effects(mm.effect_labels if effects is None else effects, mm.effect_labels)
     rx = report_x if report_x is not None else x
     if rx.n != x.n:
         raise DimensionMismatch("report covariates must cover the same units")
-    rx_centered = rx.centered()
+    cols = rx.centered()
     n_eff, n_cov = len(labels), rx.p
 
     po = None
     if model is not None:
         rng_po = sampling.batch_rng(seed, sampling.PURPOSE_OUTCOMES, 0)
         po = generate_potential_outcomes(model, x, mm, rng_po)
+        level = po.table.mean(axis=1)
+        cols = np.column_stack((cols, level - level.mean()))
 
     implied = implied_acceptance_probability(rule)
     if max_draws is None:
         per_accept = 1.0 / max(implied, 1e-12)
         max_draws = max(1_000_000, int(12 * n_reps * per_accept))
 
-    def batch_stats(combos: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        d = np.stack([kernel.mean_diffs(combos, lab, rx_centered) for lab in labels], axis=1)
-        if po is None:
-            return d, None
-        return d, kernel.estimates(combos, labels, po.table)
+    def batch_stats(combos: np.ndarray) -> np.ndarray:
+        return np.stack([kernel.mean_diffs(combos, lab, cols) for lab in labels], axis=1)
 
     batch = sampling.STUDY_BATCH
-    pure = list(sampling.pure_stream(
+    s_pure = np.concatenate(list(sampling.pure_stream(
         kernel, batch_stats, seed, sampling.PURPOSE_STUDY_PURE, batch, n_reps, workers
-    ))
-    d_pure = np.concatenate([d for d, _ in pure])
-    th_pure = None if po is None else np.concatenate([th for _, th in pure])
+    )))
+    s_acc = np.empty((n_reps, n_eff, cols.shape[1]))
 
-    d_acc = np.empty((n_reps, n_eff, n_cov))
-    th_acc = np.empty((n_reps, n_eff)) if po is not None else None
-
-    def accepted_batch(
-        rng: np.random.Generator, limit: int
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray | None]]:
+    def accepted_batch(rng: np.random.Generator, limit: int) -> tuple[np.ndarray, np.ndarray]:
         positions, rows = kernel.screen(rng, limit, n_reps, implied)
         return positions, batch_stats(rows)
 
     collected = 0
     scanned = 0
-    for indices, (d, th) in sampling.accepted_stream(
+    for indices, stats in sampling.accepted_stream(
         accepted_batch, seed, sampling.PURPOSE_STUDY_ACCEPTED, batch, n_reps, max_draws, workers
     ):
         take = indices.size
-        d_acc[collected : collected + take] = d[:take]
-        if th_acc is not None:
-            th_acc[collected : collected + take] = th[:take]
+        s_acc[collected : collected + take] = stats[:take]
         collected += take
         scanned = int(indices[-1]) + 1
     if collected < n_reps:
@@ -405,6 +401,7 @@ def variance_study(
             f"collected {collected} of {n_reps} accepted draws within {max_draws} candidates"
         )
 
+    d_pure, d_acc = s_pure[:, :, :n_cov], s_acc[:, :, :n_cov]
     var_pure = d_pure.var(axis=0, ddof=1)
     var_acc = d_acc.var(axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -415,6 +412,8 @@ def variance_study(
 
     kwargs: dict[str, Any] = {}
     if po is not None:
+        theta = np.array([po.estimands[lab] for lab in labels])
+        th_pure, th_acc = theta + s_pure[:, :, n_cov], theta + s_acc[:, :, n_cov]
         r2 = unit_level_r2(po, x)
         tvp = th_pure.var(axis=0, ddof=1)
         tva = th_acc.var(axis=0, ddof=1)
@@ -511,16 +510,18 @@ def independence_study(
     n_eff, p = len(labels), x.p
     a_vec = np.array([thresholds[lab] for lab in labels])
 
-    def scan(combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The indicators come from the screen's own scores; d stays in covariate units.
-        d = np.stack([kernel.mean_diffs(combos, lab) for lab in labels], axis=1)
-        return kernel.all_distances(combos, labels), d
+    # One sign gather per effect scores both column sets: the whitened ones
+    # give the screen's distances, the centered ones d in covariate units.
+    cols = np.column_stack((kernel.white, kernel.centered))
 
-    blocks = list(sampling.pure_stream(
+    def scan(combos: np.ndarray) -> np.ndarray:
+        return np.stack([kernel.mean_diffs(combos, lab, cols) for lab in labels], axis=1)
+
+    s_all = np.concatenate(list(sampling.pure_stream(
         kernel, scan, seed, sampling.PURPOSE_STUDY_PURE, sampling.STUDY_BATCH, n_reps, workers
-    ))
-    m_all = np.concatenate([m for m, _ in blocks])
-    d_all = np.concatenate([d for _, d in blocks])
+    )))
+    m_all = squared_distance(s_all[:, :, :p].reshape(-1, p), x.n).reshape(n_reps, n_eff)
+    d_all = s_all[:, :, p:]
 
     indicators = m_all <= a_vec[None, :]
     marginal = indicators.mean(axis=0)
@@ -576,9 +577,8 @@ def calibrate_empirical_thresholds(
     """
     if n_draws < 2:
         raise ValueError(f"need at least 2 draws to calibrate, got {n_draws}")
-    labels = tuple(effects)
-    if not labels:
-        raise ValueError("at least one effect is required")
+    mm = expand_model_matrix(build_design_matrix(spec))
+    labels = check_effects(effects, mm.effect_labels)
     if isinstance(q, Mapping):
         missing = [lab for lab in labels if lab not in q]
         if missing:
@@ -590,9 +590,6 @@ def calibrate_empirical_thresholds(
         if not 0.0 < value <= 1.0:
             raise ValueError(f"quantile target for {lab!r} must be in (0, 1], got {value}")
     # Thresholds are what calibration estimates; the kernel needs none.
-    mm = expand_model_matrix(build_design_matrix(spec))
-    for lab in labels:
-        mm.column_index(lab)
     kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), thresholds={})
     m_all = np.concatenate(list(sampling.pure_stream(
         kernel, lambda combos: kernel.all_distances(combos, labels), seed,

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -190,3 +191,12 @@ def test_package_imports_without_scipy():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a runtime check written as one vanishes.
+    found = []
+    for path in sorted(Path(factorial_rerand.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

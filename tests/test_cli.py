@@ -285,6 +285,10 @@ MALFORMED = [
     ("diagnose", None, None, ["--effects", "Z"]),
     ("simulate", ("simulation", "n_reps"), 1, []),
     ("simulate", ("simulation", "effects"), ["Q"], []),
+    ("test", None, None, ["--effects", "mean"]),
+    ("allocate", ("rule", "tiers", 0, "effects"), ["A", "mean"], []),
+    ("calibrate", ("calibration", "effects"), ["mean"], []),
+    ("simulate", ("simulation", "effects"), ["A", "mean"], []),
 ]
 
 

@@ -162,6 +162,56 @@ def test_estimate_effects_rejects_unbalanced_column():
         estimate_effects(np.array([1.0, 2.0, 3.0, 4.0]), w, ("A",))
 
 
+def _effect_list_calls(spec, x, rule):
+    """Each public call that takes an effect list, as a function of that list."""
+    alloc = rerandomize(x, spec, rule, seed=1).allocation
+    mm = expand_model_matrix(build_design_matrix(spec))
+    w = expand_assignment(alloc, mm)
+    y = np.arange(float(spec.n))
+    model = simlab.OutcomeModel(effects={"A": 1.0}, beta=np.ones(2), sigma=1.0)
+    return {
+        "estimate_effects": lambda eff: estimate_effects(y, w, eff),
+        "randomization_test": lambda eff: randomization_test(
+            y, alloc, x, rule, eff, n_draws=100, seed=2
+        ),
+        "variance_study": lambda eff: simlab.variance_study(
+            spec, x, rule, model, n_reps=50, seed=3, effects=eff
+        ),
+        "calibrate_empirical_thresholds": lambda eff: simlab.calibrate_empirical_thresholds(
+            spec, x, eff, 0.5, 100, seed=4
+        ),
+        "rerandomize": lambda eff: rerandomize(
+            x, spec, AcceptanceRule(tiers=(Tier("t", eff, joint_prob=0.5),), p=2), seed=5
+        ),
+    }
+
+
+BAD_EFFECT_LISTS = [
+    (("mean", "A"), "'mean' is not a factorial effect"),
+    (("A", "Z"), "'Z' is not a factorial effect"),
+    ("AB", "got the string 'AB'"),
+]
+
+
+# A tier stores its effects as a tuple, so a rule never holds a bare string.
+@pytest.mark.parametrize("call, effects, message", [
+    (call, effects, message)
+    for call in ("estimate_effects", "randomization_test", "variance_study",
+                 "calibrate_empirical_thresholds", "rerandomize")
+    for effects, message in BAD_EFFECT_LISTS
+    if not (call == "rerandomize" and isinstance(effects, str))
+])
+def test_effect_lists_are_checked_before_any_draw(small_problem, monkeypatch, call, effects, message):
+    fn = _effect_list_calls(*small_problem)[call]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a candidate was drawn before the effect list was checked")
+
+    monkeypatch.setattr(sampling.BalanceKernel, "draw", no_draw)
+    with pytest.raises(ValueError, match=message):
+        fn(effects)
+
+
 def test_randomization_test_requires_accepted_observed(small_problem):
     spec, x, rule = small_problem
     # scan for an allocation the rule rejects

@@ -175,30 +175,17 @@ def test_every_scoring_route_gives_one_distance(k, r, p, scales, joint, seed):
     assert positions.tolist() == accepted
 
 
-def test_kernel_estimates_match_inner_product(kernel_setup):
-    spec, mm, x, kernel, _, _ = kernel_setup
-    combos = kernel.draw(np.random.default_rng(2), 8)
-    y_table = np.random.default_rng(3).normal(size=(16, 4))
-    effects = ("A", "B", "AB")
-    got = kernel.estimates(combos, effects, y_table)
-    assert got.shape == (8, len(effects))
-    padded = np.concatenate((np.zeros((16, 1)), y_table), axis=1)
-    y_block = padded[np.arange(16)[None, :], combos]
-    for j, eff in enumerate(effects):
-        # The one-effect computation gives each column bit for bit.
-        single = np.einsum("bn,bn->b", kernel.sign_lookup(eff)[combos], y_block) * (2.0 / 16)
-        assert np.array_equal(got[:, j], single)
-        col_sign = mm.column(eff)
-        for i in range(8):
-            y_obs = y_table[np.arange(16), combos[i] - 1]
-            w_col = col_sign[combos[i] - 1]
-            assert got[i, j] == pytest.approx(2.0 / 16.0 * (y_obs @ w_col), rel=1e-12)
-
-
 def test_kernel_screen_order_most_selective_first(kernel_setup):
-    _, _, _, kernel, _, thresholds = kernel_setup
-    # equal thresholds here, so just confirm all monitored effects survive screening
-    assert set(kernel.screen_order) == set(thresholds)
+    spec, mm, x, _, _, _ = kernel_setup
+    # The loose tier comes first in the rule; the tight tier still screens first.
+    rule = AcceptanceRule(
+        tiers=(Tier("loose", ("A",), joint_prob=0.9), Tier("tight", ("B", "AB"), joint_prob=0.1)),
+        p=3,
+    )
+    thresholds = resolve_thresholds(rule)
+    assert thresholds["B"] == thresholds["AB"] < thresholds["A"]
+    kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), thresholds)
+    assert kernel.screen_order == ["B", "AB", "A"]
 
 
 @settings(max_examples=40, deadline=None)

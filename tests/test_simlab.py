@@ -4,9 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from factorial_rerand import sampling, simlab
+from factorial_rerand import engine, sampling, simlab
+from factorial_rerand.assignment import Allocation, expand_assignment
 from factorial_rerand.balance import CovariateMatrix
-from factorial_rerand.criteria import AcceptanceRule, Tier, chi2_quantile
+from factorial_rerand.criteria import (
+    AcceptanceRule,
+    Tier,
+    chi2_quantile,
+    implied_acceptance_probability,
+)
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 from factorial_rerand.errors import DimensionMismatch
 
@@ -98,8 +104,6 @@ def test_true_estimands_k2_fixture():
 
 
 def test_observe_picks_assigned_column():
-    from factorial_rerand.assignment import Allocation
-
     mm = _mm(1)
     table = np.array([[10.0, 11.0], [20.0, 21.0], [30.0, 31.0], [40.0, 41.0]])
     po = simlab.PotentialOutcomes(
@@ -204,6 +208,43 @@ def test_variance_study_pure_half_draws_only_the_rows_it_keeps(desk, monkeypatch
     report = simlab.variance_study(spec, x, rule, model, n_reps=5000, seed=11)
     assert drawn[sampling.PURPOSE_STUDY_PURE] == 5000
     assert report.draws_scanned <= drawn[sampling.PURPOSE_STUDY_ACCEPTED]
+
+
+def test_variance_study_estimates_match_the_scalar_path(desk):
+    # Rebuild the study's draws and score each one with estimate_effects on
+    # the outcomes it reveals: the estimand-plus-unit-level column must agree.
+    spec, x, rule, model = desk
+    n_reps, seed = 300, 8
+    report = simlab.variance_study(spec, x, rule, model, n_reps=n_reps, seed=seed)
+    mm, kernel, _ = engine._prepare(x, spec, rule, None)
+    po = simlab.generate_potential_outcomes(
+        model, x, mm, sampling.batch_rng(seed, sampling.PURPOSE_OUTCOMES, 0)
+    )
+    prob = implied_acceptance_probability(rule)
+    stream = sampling.accepted_stream(
+        lambda rng, limit: kernel.screen(rng, limit, n_reps, prob),
+        seed, sampling.PURPOSE_STUDY_ACCEPTED, sampling.STUDY_BATCH, n_reps, 1_000_000, 1,
+    )
+    accepted = [row for indices, rows in stream for row in rows[: indices.size]]
+    pure = np.concatenate(list(sampling.pure_stream(
+        kernel, lambda rows: rows, seed, sampling.PURPOSE_STUDY_PURE, sampling.STUDY_BATCH,
+        n_reps, 1,
+    )))
+    labels = report.effect_labels
+
+    def scalar(rows):
+        out = []
+        for row in rows:
+            alloc = Allocation(spec=spec, combo_of_unit=row)
+            est = engine.estimate_effects(po.observe(alloc), expand_assignment(alloc, mm), labels)
+            out.append([est.estimate(lab) for lab in labels])
+        return np.array(out)
+
+    th_acc, th_pure = scalar(accepted), scalar(pure)
+    assert th_acc.shape == th_pure.shape == (n_reps, len(labels))
+    np.testing.assert_allclose(report.theta_mean_accepted, th_acc.mean(axis=0), rtol=1e-9)
+    np.testing.assert_allclose(report.theta_var_accepted, th_acc.var(axis=0, ddof=1), rtol=1e-9)
+    np.testing.assert_allclose(report.theta_var_pure, th_pure.var(axis=0, ddof=1), rtol=1e-9)
 
 
 def test_variance_study_without_model_skips_estimators(desk):
