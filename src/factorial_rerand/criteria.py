@@ -208,9 +208,14 @@ class Tier:
     joint_prob: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "effects", tuple(self.effects))
         if not self.name:
             raise ValueError("tier name must be nonempty")
+        if isinstance(self.effects, str):
+            raise ValueError(
+                f"tier {self.name!r}: effects must be a list of effect names, "
+                f"got the string {self.effects!r}"
+            )
+        object.__setattr__(self, "effects", tuple(self.effects))
         if not self.effects:
             raise ValueError(f"tier {self.name!r} lists no effects")
         if len(set(self.effects)) != len(self.effects):

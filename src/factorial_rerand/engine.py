@@ -266,6 +266,27 @@ class RandomizationTestResult:
         }
 
 
+def _null_summary(null_stats: np.ndarray, labels: tuple[str, ...]) -> dict[str, dict[str, float]]:
+    """Mean, sd and 2.5/50/97.5 % quantiles of each column of a (draws, effects) table.
+
+    One ``quantile`` call sorts every column; each column's quantiles equal a
+    call on that column alone.  Means stay per column: an axis-0 mean sums in
+    another order and can round differently in the last bit.
+    """
+    q = np.quantile(null_stats, [0.025, 0.5, 0.975], axis=0)
+    summary: dict[str, dict[str, float]] = {}
+    for j, lab in enumerate(labels):
+        col = null_stats[:, j]
+        summary[lab] = {
+            "mean": float(col.mean()),
+            "sd": float(col.std(ddof=1)),
+            "q025": float(q[0, j]),
+            "median": float(q[1, j]),
+            "q975": float(q[2, j]),
+        }
+    return summary
+
+
 def randomization_test(
     y_obs: np.ndarray,
     alloc_obs: Allocation,
@@ -336,25 +357,13 @@ def randomization_test(
             f"collected {collected} of {n_draws} reference draws within {max_draws} candidates"
         )
 
-    p_values: dict[str, float] = {}
-    summary: dict[str, dict[str, float]] = {}
-    for j, lab in enumerate(labels):
-        col = null_stats[:, j]
-        exceed = int(np.count_nonzero(np.abs(col) >= t_obs[j]))
-        p_values[lab] = (1.0 + exceed) / (1.0 + n_draws)
-        q = np.quantile(col, [0.025, 0.5, 0.975])
-        summary[lab] = {
-            "mean": float(col.mean()),
-            "sd": float(col.std(ddof=1)),
-            "q025": float(q[0]),
-            "median": float(q[1]),
-            "q975": float(q[2]),
-        }
+    exceed = np.count_nonzero(np.abs(null_stats) >= t_obs, axis=0)
+    p_values = {lab: (1.0 + int(exceed[j])) / (1.0 + n_draws) for j, lab in enumerate(labels)}
     return RandomizationTestResult(
         effects=labels,
         observed=observed,
         p_values=p_values,
-        null_summary=summary,
+        null_summary=_null_summary(null_stats, labels),
         n_reference=n_draws,
         draws_scanned=scanned,
         seed=seed,

@@ -21,12 +21,21 @@ blocks stay near L2 and keep the peak memory of a thread pool low.  A cap of
 a fixed byte size instead (``512 * 1376 // n`` rows) was slower on small
 designs, whose rows are short: it drew 11008-row blocks of 64 units, which
 again fall out of cache.
+
+Each thread scores into one sign buffer that the kernel keeps for it, grown
+to the largest block the thread has scored.  A fresh (rows, n) float64 block
+per screen stage (700 KB for 64 rows of 1376 units) is handed back to the
+system once freed (glibc trims it), and the next batch faults the same pages
+in again: on Linux a paper-scale ``rerandomize`` call took about 5,900 minor
+page faults, and about 450 with the kept buffer.  The buffer holds the signs
+of one gather only; no value depends on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -181,15 +190,19 @@ def accepted_stream(
 
 
 class BalanceKernel:
-    """Precomputed read-only state for scoring candidate allocations fast.
+    """Precomputed state for scoring candidate allocations fast.
 
     Holds the centered covariates, the same covariates whitened once
     (``white``), and per-effect sign lookups indexed by the 1-based
     combination index (entry 0 is padding, so gathers need no shifted copy of
     the indices).  Mean differences are shift-invariant (signed columns sum to
     zero), so centering is exact, not an approximation.  Over ``white`` they
-    come out whitened, so the screen runs no linear solve.  Thread-safe by
-    construction: nothing here mutates.
+    come out whitened, so the screen runs no linear solve.
+
+    Thread-safe: the covariates and lookups are read-only, and the only
+    scratch is one sign buffer per thread (a ``threading.local``), which a
+    gather overwrites and no result refers to.  ``draw``, ``mean_diffs`` and
+    the screens return fresh arrays, valid across later calls on any thread.
     """
 
     def __init__(
@@ -217,6 +230,7 @@ class BalanceKernel:
             self.thresholds, key=lambda lab: chi2_cdf(cm.p, self.thresholds[lab])
         )
         self._signs: dict[str, np.ndarray] = {}
+        self._scratch = threading.local()
 
     def sign_lookup(self, label: str) -> np.ndarray:
         """Signed value of one effect column per combination index (float64).
@@ -239,9 +253,22 @@ class BalanceKernel:
     def mean_diffs(
         self, combos: np.ndarray, label: str, centered: np.ndarray | None = None
     ) -> np.ndarray:
-        """(batch, p) mean-difference vectors for one effect, over ``centered`` columns."""
+        """(batch, p) mean-difference vectors for one effect, over ``centered`` columns.
+
+        The signs are gathered into this thread's sign buffer, grown to the
+        largest block the thread has scored.  ``mode="clip"`` lets ``take``
+        write straight into it (the default mode buffers ``out``); it changes
+        no value, since every combination index lies in 1..2^K of a lookup
+        with 2^K + 1 entries.
+        """
         cols = self.centered if centered is None else centered
-        return mean_diff_block(self.sign_lookup(label)[combos], cols)
+        rows = combos.shape[0]
+        buf = getattr(self._scratch, "signs", None)
+        if buf is None or buf.shape[0] < rows:
+            buf = self._scratch.signs = np.empty((rows, self.n))
+        signs = buf[:rows]
+        self.sign_lookup(label).take(combos, out=signs, mode="clip")
+        return mean_diff_block(signs, cols)
 
     def distances(self, diffs: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distances for a (batch, p) block of covariate-unit differences."""
@@ -280,6 +307,10 @@ class BalanceKernel:
             alive = self.surviving(combos)
             positions.append(drawn + alive)
             rows.append(combos[alive])
+            # Free this chunk before drawing the next one, which then reuses
+            # its memory: with the kept sign buffer, a third block per thread
+            # would otherwise stay resident.
+            del combos
             drawn += size
             found += alive.size
         return np.concatenate(positions), np.concatenate(rows)

@@ -150,6 +150,13 @@ def test_tier_requires_exactly_one_criterion():
         Tier("t", (), joint_prob=0.1)
 
 
+def test_tier_refuses_a_bare_string():
+    # "AB" would otherwise monitor the mains A and B, not the AB interaction.
+    with pytest.raises(ValueError, match="got the string 'AB'"):
+        Tier("t", "AB", joint_prob=0.5)
+    assert Tier("t", ["AB"], joint_prob=0.5).effects == ("AB",)
+
+
 def test_rule_rejects_overlapping_tiers():
     t1 = Tier("mains", ("A", "B"), joint_prob=0.2)
     t2 = Tier("other", ("B", "AB"), joint_prob=0.5)

@@ -193,13 +193,11 @@ BAD_EFFECT_LISTS = [
 ]
 
 
-# A tier stores its effects as a tuple, so a rule never holds a bare string.
 @pytest.mark.parametrize("call, effects, message", [
     (call, effects, message)
     for call in ("estimate_effects", "randomization_test", "variance_study",
                  "calibrate_empirical_thresholds", "rerandomize")
     for effects, message in BAD_EFFECT_LISTS
-    if not (call == "rerandomize" and isinstance(effects, str))
 ])
 def test_effect_lists_are_checked_before_any_draw(small_problem, monkeypatch, call, effects, message):
     fn = _effect_list_calls(*small_problem)[call]
@@ -257,6 +255,24 @@ def test_randomization_test_p_values(small_problem):
     )
     assert planted.p_values["A"] == pytest.approx(1.0 / 201.0, abs=1e-12)
     assert planted.observed["A"] == pytest.approx(100.0, rel=0.2)
+
+
+@pytest.mark.parametrize("draws, effects", [(399, 3), (100, 15), (1000, 7)])
+def test_null_summary_equals_per_column_statistics(draws, effects):
+    rng = np.random.default_rng(draws + effects)
+    for table in (rng.normal(size=(draws, effects)), rng.integers(-3, 4, size=(draws, effects)) / 8):
+        labels = tuple(f"e{j}" for j in range(effects))
+        summary = engine._null_summary(table, labels)
+        for j, lab in enumerate(labels):
+            col = table[:, j]
+            q = np.quantile(col, [0.025, 0.5, 0.975])
+            assert summary[lab] == {
+                "mean": float(col.mean()),
+                "sd": float(col.std(ddof=1)),
+                "q025": float(q[0]),
+                "median": float(q[1]),
+                "q975": float(q[2]),
+            }
 
 
 def test_randomization_test_deterministic_across_workers(small_problem):

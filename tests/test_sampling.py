@@ -1,5 +1,7 @@
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,3 +261,73 @@ def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
         assert [c.shape[0] for c in chunks] == [cap, cap, 10, cap - 10]
         assert sorted(sizes) == [10, cap - 10, cap, cap]
         assert np.array_equal(np.concatenate(chunks), pure)
+
+
+@pytest.fixture(scope="module")
+def paper_kernel():
+    spec = DesignSpec(k=5, r=43)
+    mm = expand_model_matrix(build_design_matrix(spec))
+    x = CovariateMatrix(
+        np.random.default_rng(43).normal(size=(spec.n, 9)), names=tuple(f"x{j}" for j in range(9))
+    )
+    rule = AcceptanceRule(
+        tiers=(
+            Tier("mains", ("A", "B", "C", "D", "E"), joint_prob=0.01),
+            Tier("two_way", ("AB", "AC", "AD", "AE", "BC", "BD", "BE", "CD", "CE", "DE"),
+                 joint_prob=0.1),
+        ),
+        p=9,
+    )
+    return sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
+
+
+def test_mean_diffs_gathers_into_the_threads_sign_buffer(paper_kernel):
+    combos = paper_kernel.draw(np.random.default_rng(0), sampling.MAX_CHUNK)
+    block = combos.shape[0] * combos.shape[1] * np.dtype(np.float64).itemsize
+    paper_kernel.mean_diffs(combos, "A", paper_kernel.white)  # sizes the buffer
+    tracemalloc.start()
+    try:
+        paper_kernel.mean_diffs(combos, "B", paper_kernel.white)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block / 8
+
+
+def test_threads_scoring_one_kernel_get_the_serial_results(paper_kernel):
+    # More threads than cores, on blocks of different sizes, so a buffer
+    # shared between threads would be overwritten mid-score and regrown.
+    blocks = [paper_kernel.draw(np.random.default_rng(s), rows)
+              for s, rows in enumerate((8, 64, 64, 200))]
+    serial = [
+        ([paper_kernel.mean_diffs(c, lab) for lab in ("A", "AB")], paper_kernel.surviving(c))
+        for c in blocks
+    ]
+    # A result is the caller's own: a later gather leaves it unchanged.
+    first = paper_kernel.mean_diffs(blocks[0], "A")
+    kept = first.copy()
+    paper_kernel.mean_diffs(blocks[1], "A")
+    assert np.array_equal(first, kept)
+
+    mismatches = []
+
+    def score(i):
+        for _ in range(20):
+            diffs = [paper_kernel.mean_diffs(blocks[i], lab) for lab in ("A", "AB")]
+            alive = paper_kernel.surviving(blocks[i])
+            if not (all(np.array_equal(d, s) for d, s in zip(diffs, serial[i][0]))
+                    and np.array_equal(alive, serial[i][1])):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(blocks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
