@@ -294,6 +294,14 @@ def resolve_thresholds(rule: AcceptanceRule) -> dict[str, float]:
     return out
 
 
+def acceptance_probability(thresholds: Mapping[str, float], p: int) -> float:
+    """Product of per-effect chi-squared acceptance probabilities (1 for no thresholds)."""
+    prob = 1.0
+    for a in thresholds.values():
+        prob *= chi2_cdf(p, a) if not math.isinf(a) else 1.0
+    return prob
+
+
 def implied_acceptance_probability(rule: AcceptanceRule) -> float:
     """Product of per-effect chi-squared acceptance probabilities.
 
@@ -301,11 +309,7 @@ def implied_acceptance_probability(rule: AcceptanceRule) -> float:
     joint probabilities; for direct thresholds (including calibrated ones)
     it is the chi-squared reference approximation.
     """
-    thresholds = resolve_thresholds(rule)
-    prob = 1.0
-    for a in thresholds.values():
-        prob *= chi2_cdf(rule.p, a) if not math.isinf(a) else 1.0
-    return prob
+    return acceptance_probability(resolve_thresholds(rule), rule.p)
 
 
 def accept(profile: BalanceProfile, rule: AcceptanceRule) -> bool:

@@ -29,7 +29,6 @@ from .criteria import (
     AcceptanceRule,
     ThresholdMode,
     accept,
-    implied_acceptance_probability,
     resolve_thresholds,
 )
 from .design import DesignSpec, ModelMatrix, build_design_matrix, check_effects, expand_model_matrix
@@ -88,10 +87,7 @@ class RerandomizationResult:
 
 
 def _prepare(
-    x: CovariateMatrix,
-    spec: DesignSpec,
-    rule: AcceptanceRule,
-    mm: ModelMatrix | None,
+    x: CovariateMatrix, spec: DesignSpec, rule: AcceptanceRule
 ) -> tuple[ModelMatrix, sampling.BalanceKernel, dict[str, float]]:
     if x.n != spec.n:
         raise DimensionMismatch(
@@ -101,8 +97,7 @@ def _prepare(
         raise DimensionMismatch(
             f"acceptance rule expects {rule.p} covariates, covariate matrix has {x.p}"
         )
-    if mm is None:
-        mm = expand_model_matrix(build_design_matrix(spec))
+    mm = expand_model_matrix(build_design_matrix(spec))
     check_effects(rule.monitored_effects, mm.effect_labels)
     cm = fit_covariance(x)
     thresholds = resolve_thresholds(rule)
@@ -117,7 +112,6 @@ def rerandomize(
     seed: int,
     max_draws: int = DEFAULT_MAX_DRAWS,
     workers: int = 1,
-    mm: ModelMatrix | None = None,
 ) -> RerandomizationResult:
     """Draw balanced allocations until one passes the acceptance rule.
 
@@ -128,8 +122,8 @@ def rerandomize(
     if max_draws < 1:
         raise ValueError(f"max_draws must be positive, got {max_draws}")
     t0 = time.perf_counter()
-    mm, kernel, thresholds = _prepare(x, spec, rule, mm)
-    prob = implied_acceptance_probability(rule)
+    mm, kernel, thresholds = _prepare(x, spec, rule)
+    prob = kernel.prob
     if rule.mode is ThresholdMode.CHI_SQUARED:
         logger.info("implied acceptance probability %.6g", prob)
         if prob > 0 and 1.0 / prob > max_draws / 10.0:
@@ -148,7 +142,7 @@ def rerandomize(
         # Screen the whole batch and re-score its survivors in order with the
         # scalar path, which is authoritative: a float tie right at a
         # threshold falls through to the batch's next survivor.
-        positions, rows = kernel.screen(rng, limit, limit, prob)
+        positions, rows = kernel.screen(rng, limit, limit, lambda rows: rows)
         for i, row in enumerate(rows):
             w = expand_assignment(Allocation(spec=spec, combo_of_unit=row), mm)
             profile = balance_profile(x, w, rule.monitored_effects, cm=kernel.cm)
@@ -297,7 +291,6 @@ def randomization_test(
     seed: int,
     max_draws: int = 10 * DEFAULT_MAX_DRAWS,
     workers: int = 1,
-    mm: ModelMatrix | None = None,
 ) -> RandomizationTestResult:
     """Test the sharp null of no effect, restricted to accepted allocations.
 
@@ -309,7 +302,7 @@ def randomization_test(
     if n_draws < 100:
         raise ValueError(f"need at least 100 reference draws for stable p-values, got {n_draws}")
     spec = alloc_obs.spec
-    mm, kernel, _ = _prepare(x, spec, rule, mm)
+    mm, kernel, _ = _prepare(x, spec, rule)
     y = np.ascontiguousarray(y_obs, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise DimensionMismatch(f"outcomes have shape {y.shape}, expected ({spec.n},)")
@@ -336,26 +329,9 @@ def randomization_test(
         return stats
 
     t_obs = np.abs(statistics(alloc_obs.combo_of_unit[None, :])[0])
-    prob = implied_acceptance_probability(rule)
-
-    def scan(rng: np.random.Generator, limit: int) -> tuple[np.ndarray, np.ndarray]:
-        positions, rows = kernel.screen(rng, limit, n_draws, prob)
-        return positions, statistics(rows)
-
-    null_stats = np.empty((n_draws, len(labels)))
-    collected = 0
-    scanned = 0
-    stream = sampling.accepted_stream(
-        scan, seed, sampling.PURPOSE_REFERENCE, sampling.STUDY_BATCH, n_draws, max_draws, workers
+    null_stats, scanned = sampling.collect(
+        kernel, statistics, seed, sampling.PURPOSE_REFERENCE, n_draws, max_draws, workers
     )
-    for indices, stats in stream:
-        null_stats[collected : collected + indices.size] = stats[: indices.size]
-        collected += indices.size
-        scanned = int(indices[-1]) + 1
-    if collected < n_draws:
-        raise MaxDrawsExceeded(
-            f"collected {collected} of {n_draws} reference draws within {max_draws} candidates"
-        )
 
     exceed = np.count_nonzero(np.abs(null_stats) >= t_obs, axis=0)
     p_values = {lab: (1.0 + int(exceed[j])) / (1.0 + n_draws) for j, lab in enumerate(labels)}

@@ -12,15 +12,19 @@ gives exactly the rows of one whole-batch draw.  The streams below draw only
 as many rows as the demand calls for: chunking changes how many candidates
 are drawn, never which candidates exist or which one wins.
 
-Every draw, in the screen and in the pure stream alike, is at most
-``MAX_CHUNK`` rows.  The cap is one constant, independent of ``workers``, of
-the demand and of the design size, so the blocks each statistic is computed
-over stay the same for any ``workers``.  It exists for the cache: a 4096-row
-block of 1376 units is 45 MB, as is each sign gather over it, while 512-row
-blocks stay near L2 and keep the peak memory of a thread pool low.  A cap of
-a fixed byte size instead (``512 * 1376 // n`` rows) was slower on small
-designs, whose rows are short: it drew 11008-row blocks of 64 units, which
-again fall out of cache.
+Every table is collected through one screen (``collect``).  Pure
+randomization is the rejection sampler with a rule that accepts every draw:
+a kernel with no thresholds screens nothing, so every row it draws survives,
+and a pure draw comes in the same chunks as any other screen.
+
+Every draw is at most ``MAX_CHUNK`` rows.  The cap is one constant,
+independent of ``workers``, of the demand and of the design size, so the
+blocks each statistic is computed over stay the same for any ``workers``.
+It exists for the cache: a 4096-row block of 1376 units is 45 MB, as is each
+sign gather over it, while 512-row blocks stay near L2 and keep the peak
+memory of a thread pool low.  A cap of a fixed byte size instead
+(``512 * 1376 // n`` rows) was slower on small designs, whose rows are
+short: it drew 11008-row blocks of 64 units, which again fall out of cache.
 
 Each thread scores into one sign buffer that the kernel keeps for it, grown
 to the largest block the thread has scored.  A fresh (rows, n) float64 block
@@ -44,9 +48,9 @@ import numpy as np
 
 from .assignment import combination_multiset
 from .balance import CovarianceModel, CovariateMatrix, mean_diff_block, squared_distance
-from .criteria import chi2_cdf
+from .criteria import acceptance_probability, chi2_cdf
 from .design import DesignSpec, ModelMatrix
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MaxDrawsExceeded
 
 # Work unit of the rerandomization loop.  Small enough that the overshoot
 # past an accepted draw stays negligible.
@@ -118,36 +122,6 @@ def ordered_parallel_map(
             yield fut.result()
 
 
-def pure_stream(
-    kernel: BalanceKernel,
-    fn: Callable[[np.ndarray], R],
-    seed: int,
-    purpose: int,
-    batch: int,
-    n: int,
-    workers: int,
-) -> Iterator[R]:
-    """``fn(rows)`` for the ``n`` pure draws of one keyed stream, chunk by chunk.
-
-    Each batch is drawn from its own generator in chunks of at most
-    ``MAX_CHUNK`` rows, with one ``fn`` result per chunk.  The last batch
-    draws only the rows still needed; they are the first rows of the whole
-    batch.
-    """
-
-    def run(b: int) -> list[R]:
-        rng = batch_rng(seed, purpose, b)
-        rows = min(batch, n - b * batch)
-        return [
-            fn(kernel.draw(rng, min(MAX_CHUNK, rows - start)))
-            for start in range(0, rows, MAX_CHUNK)
-        ]
-
-    return itertools.chain.from_iterable(
-        ordered_parallel_map(run, range(-(-n // batch)), workers)
-    )
-
-
 def accepted_stream(
     scan: Callable[[np.random.Generator, int], tuple[np.ndarray, T]],
     seed: int,
@@ -187,6 +161,43 @@ def accepted_stream(
             yield indices, value
             if remaining == 0:
                 return
+
+
+def collect(
+    kernel: BalanceKernel,
+    score: Callable[[np.ndarray], np.ndarray],
+    seed: int,
+    purpose: int,
+    n: int,
+    max_draws: int,
+    workers: int,
+) -> tuple[np.ndarray, int]:
+    """``score`` of the first ``n`` accepted draws of one keyed stream, and the candidates scanned.
+
+    Batches are ``STUDY_BATCH`` rows, screened by ``kernel``; ``score(rows)``
+    gives one table row per survivor.  A pure draw passes a kernel with no
+    thresholds and ``max_draws = n``.  Raises MaxDrawsExceeded when the budget
+    runs out first.
+    """
+    # Filled in place: a list of parts and its concatenation would hold the
+    # table twice, and fault its pages in again on every call.
+    table = None
+    collected = scanned = 0
+    stream = accepted_stream(
+        lambda rng, limit: kernel.screen(rng, limit, n, score),
+        seed, purpose, STUDY_BATCH, n, max_draws, workers,
+    )
+    for indices, scores in stream:
+        if table is None:
+            table = np.empty((n,) + scores.shape[1:], dtype=scores.dtype)
+        table[collected : collected + indices.size] = scores[: indices.size]
+        collected += indices.size
+        scanned = int(indices[-1]) + 1
+    if collected < n:
+        raise MaxDrawsExceeded(
+            f"collected {collected} of {n} accepted draws within {max_draws} candidates"
+        )
+    return table, scanned
 
 
 class BalanceKernel:
@@ -229,6 +240,8 @@ class BalanceKernel:
         self.screen_order = sorted(
             self.thresholds, key=lambda lab: chi2_cdf(cm.p, self.thresholds[lab])
         )
+        # Implied acceptance probability: it sizes the screen's chunks.
+        self.prob = acceptance_probability(self.thresholds, cm.p)
         self._signs: dict[str, np.ndarray] = {}
         self._scratch = threading.local()
 
@@ -286,34 +299,54 @@ class BalanceKernel:
         return alive
 
     def screen(
-        self, rng: np.random.Generator, limit: int, need: int, prob: float
+        self,
+        rng: np.random.Generator,
+        limit: int,
+        need: int,
+        score: Callable[[np.ndarray], np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Positions (ascending) and rows of survivors among a batch's first ``limit`` rows.
+        """Positions (ascending) and scores of survivors among a batch's first ``limit`` rows.
 
         Rows come from ``rng`` in chunks sized to the survivors still missing
-        at the implied acceptance probability ``prob``, never more than
+        at the implied acceptance probability ``self.prob``, never more than
         ``MAX_CHUNK``, and drawing stops once ``need`` have passed.  The
         survivors are a prefix of those of the whole ``limit``-row batch.
+
+        ``score(rows)`` runs on the survivors gathered since its last call,
+        once they reach ``MAX_CHUNK`` rows and once more at the end, and the
+        scores come back concatenated in row order.  So a screen with no
+        thresholds scores each chunk on its own, and a selective one scores
+        its survivors in few calls, in blocks that depend only on the batch.
         """
-        positions = [np.empty(0, dtype=np.intp)]
-        rows = [np.empty((0, self.n), dtype=self.base.dtype)]
+        positions, rows, scores = [], [], []
         drawn = found = 0
+
+        def flush() -> None:
+            # A lone block, such as a chunk that survived whole, is scored
+            # without a copy.
+            scores.append(score(rows[0] if len(rows) == 1 else np.concatenate(rows)))
+            rows.clear()
+
         while drawn < limit and found < need:
             size = min(limit - drawn, MAX_CHUNK)
-            want = (need - found) * CHUNK_HEADROOM / prob if prob > 0 else math.inf
+            want = (need - found) * CHUNK_HEADROOM / self.prob if self.prob > 0 else math.inf
             if want < size:
                 size = min(size, max(MIN_CHUNK, math.ceil(want)))
             combos = self.draw(rng, size)
             alive = self.surviving(combos)
             positions.append(drawn + alive)
-            rows.append(combos[alive])
+            rows.append(combos if alive.size == size else combos[alive])
             # Free this chunk before drawing the next one, which then reuses
             # its memory: with the kept sign buffer, a third block per thread
             # would otherwise stay resident.
             del combos
             drawn += size
             found += alive.size
-        return np.concatenate(positions), np.concatenate(rows)
+            if sum(map(len, rows)) >= MAX_CHUNK:
+                flush()
+        if rows:
+            flush()
+        return np.concatenate(positions), np.concatenate(scores)
 
     def all_distances(self, combos: np.ndarray, labels: Iterable[str]) -> np.ndarray:
         """(batch, n_effects) distance matrix with no early exit (for calibration)."""

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import engine, sampling
 from .balance import CovariateMatrix, fit_covariance, squared_distance
-from .criteria import (
-    AcceptanceRule,
-    VarianceFactor,
-    implied_acceptance_probability,
-    variance_factor,
-)
+from .criteria import AcceptanceRule, VarianceFactor, variance_factor
 from .design import (
     DesignSpec,
     ModelMatrix,
@@ -31,7 +26,7 @@ from .design import (
     effect_index,
     expand_model_matrix,
 )
-from .errors import DimensionMismatch, MaxDrawsExceeded
+from .errors import DimensionMismatch
 from .assignment import Allocation
 
 
@@ -354,13 +349,13 @@ def variance_study(
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
-    mm, kernel, thresholds = engine._prepare(x, spec, rule, None)
+    mm, kernel, thresholds = engine._prepare(x, spec, rule)
     labels = check_effects(mm.effect_labels if effects is None else effects, mm.effect_labels)
     rx = report_x if report_x is not None else x
     if rx.n != x.n:
         raise DimensionMismatch("report covariates must cover the same units")
     cols = rx.centered()
-    n_eff, n_cov = len(labels), rx.p
+    n_cov = rx.p
 
     po = None
     if model is not None:
@@ -369,37 +364,22 @@ def variance_study(
         level = po.table.mean(axis=1)
         cols = np.column_stack((cols, level - level.mean()))
 
-    implied = implied_acceptance_probability(rule)
     if max_draws is None:
-        per_accept = 1.0 / max(implied, 1e-12)
+        per_accept = 1.0 / max(kernel.prob, 1e-12)
         max_draws = max(1_000_000, int(12 * n_reps * per_accept))
 
     def batch_stats(combos: np.ndarray) -> np.ndarray:
         return np.stack([kernel.mean_diffs(combos, lab, cols) for lab in labels], axis=1)
 
-    batch = sampling.STUDY_BATCH
-    s_pure = np.concatenate(list(sampling.pure_stream(
-        kernel, batch_stats, seed, sampling.PURPOSE_STUDY_PURE, batch, n_reps, workers
-    )))
-    s_acc = np.empty((n_reps, n_eff, cols.shape[1]))
-
-    def accepted_batch(rng: np.random.Generator, limit: int) -> tuple[np.ndarray, np.ndarray]:
-        positions, rows = kernel.screen(rng, limit, n_reps, implied)
-        return positions, batch_stats(rows)
-
-    collected = 0
-    scanned = 0
-    for indices, stats in sampling.accepted_stream(
-        accepted_batch, seed, sampling.PURPOSE_STUDY_ACCEPTED, batch, n_reps, max_draws, workers
-    ):
-        take = indices.size
-        s_acc[collected : collected + take] = stats[:take]
-        collected += take
-        scanned = int(indices[-1]) + 1
-    if collected < n_reps:
-        raise MaxDrawsExceeded(
-            f"collected {collected} of {n_reps} accepted draws within {max_draws} candidates"
-        )
+    # The accepted half runs first, so the first kernel to screen is the one
+    # holding the rule's thresholds.
+    s_acc, scanned = sampling.collect(
+        kernel, batch_stats, seed, sampling.PURPOSE_STUDY_ACCEPTED, n_reps, max_draws, workers
+    )
+    pure = sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={})
+    s_pure, _ = sampling.collect(
+        pure, batch_stats, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps, workers
+    )
 
     d_pure, d_acc = s_pure[:, :, :n_cov], s_acc[:, :, :n_cov]
     var_pure = d_pure.var(axis=0, ddof=1)
@@ -414,7 +394,7 @@ def variance_study(
     if po is not None:
         theta = np.array([po.estimands[lab] for lab in labels])
         th_pure, th_acc = theta + s_pure[:, :, n_cov], theta + s_acc[:, :, n_cov]
-        r2 = unit_level_r2(po, x)
+        r2 = po.info["realized_r2"]
         tvp = th_pure.var(axis=0, ddof=1)
         tva = th_acc.var(axis=0, ddof=1)
         ratio_theory = {
@@ -442,7 +422,7 @@ def variance_study(
         thresholds=thresholds,
         n_reps=n_reps,
         seed=seed,
-        acceptance_rate=collected / scanned if scanned else float("nan"),
+        acceptance_rate=n_reps / scanned,
         draws_scanned=scanned,
         d_var_pure=var_pure,
         d_var_accepted=var_acc,
@@ -505,7 +485,7 @@ def independence_study(
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
-    mm, kernel, thresholds = engine._prepare(x, spec, rule, None)
+    mm, kernel, thresholds = engine._prepare(x, spec, rule)
     labels = rule.monitored_effects
     n_eff, p = len(labels), x.p
     a_vec = np.array([thresholds[lab] for lab in labels])
@@ -517,9 +497,10 @@ def independence_study(
     def scan(combos: np.ndarray) -> np.ndarray:
         return np.stack([kernel.mean_diffs(combos, lab, cols) for lab in labels], axis=1)
 
-    s_all = np.concatenate(list(sampling.pure_stream(
-        kernel, scan, seed, sampling.PURPOSE_STUDY_PURE, sampling.STUDY_BATCH, n_reps, workers
-    )))
+    pure = sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={})
+    s_all, _ = sampling.collect(
+        pure, scan, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps, workers
+    )
     m_all = squared_distance(s_all[:, :, :p].reshape(-1, p), x.n).reshape(n_reps, n_eff)
     d_all = s_all[:, :, p:]
 
@@ -539,7 +520,7 @@ def independence_study(
         seed=seed,
         marginal_rates={lab: float(marginal[j]) for j, lab in enumerate(labels)},
         joint_rate=joint,
-        rule_implied_joint=implied_acceptance_probability(rule),
+        rule_implied_joint=kernel.prob,
         empirical_product=float(np.prod(marginal)),
         indicator_corr=corr,
         max_indicator_corr=float(np.max(np.abs(off))),
@@ -591,10 +572,10 @@ def calibrate_empirical_thresholds(
             raise ValueError(f"quantile target for {lab!r} must be in (0, 1], got {value}")
     # Thresholds are what calibration estimates; the kernel needs none.
     kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), thresholds={})
-    m_all = np.concatenate(list(sampling.pure_stream(
+    m_all, _ = sampling.collect(
         kernel, lambda combos: kernel.all_distances(combos, labels), seed,
-        sampling.PURPOSE_CALIBRATE, sampling.STUDY_BATCH, n_draws, workers,
-    )))
+        sampling.PURPOSE_CALIBRATE, n_draws, n_draws, workers,
+    )
     return {
         lab: float(np.quantile(m_all[:, j], q_of[lab], method="linear"))
         for j, lab in enumerate(labels)

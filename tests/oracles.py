@@ -59,3 +59,30 @@ def variance_factor_quadrature(p: int, a: float) -> float:
 def mahalanobis_direct(d: np.ndarray, cov: np.ndarray, n: int) -> float:
     """Quadratic form through an explicit inverse, for cross-checking."""
     return float(n / 4.0 * d @ np.linalg.inv(cov) @ d)
+
+
+def balanced_allocations(k: int, r: int) -> list[tuple[int, ...]]:
+    """Every balanced allocation of a 2^k design with r units per combination.
+
+    An allocation is a tuple of 1-based combination indices, one per unit;
+    the list is in lexicographic order and has (r 2^k)! / (r!)^(2^k) entries.
+    """
+    m = 2**k
+    left = [r] * m
+    prefix: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    def extend() -> None:
+        if len(prefix) == m * r:
+            out.append(tuple(prefix))
+            return
+        for c in range(m):
+            if left[c]:
+                left[c] -= 1
+                prefix.append(c + 1)
+                extend()
+                prefix.pop()
+                left[c] += 1
+
+    extend()
+    return out

@@ -11,7 +11,6 @@ from factorial_rerand.criteria import (
     AcceptanceRule,
     Tier,
     accept,
-    implied_acceptance_probability,
     resolve_thresholds,
 )
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
@@ -301,14 +300,11 @@ def test_randomization_test_counts_reference_draws_that_split_like_the_observed(
         observed = rerandomize(x, spec, rule, seed=seed).allocation
         result = randomization_test(y, observed, x, rule, labels, n_draws=n_draws, seed=seed)
 
-        _, kernel, _ = engine._prepare(x, spec, rule, None)
-        prob = implied_acceptance_probability(rule)
-        stream = sampling.accepted_stream(
-            lambda rng, limit: kernel.screen(rng, limit, n_draws, prob),
-            seed, sampling.PURPOSE_REFERENCE, sampling.STUDY_BATCH, n_draws,
+        _, kernel, _ = engine._prepare(x, spec, rule)
+        rows, _ = sampling.collect(
+            kernel, lambda rows: rows, seed, sampling.PURPOSE_REFERENCE, n_draws,
             10 * engine.DEFAULT_MAX_DRAWS, 1,
         )
-        rows = [row for indices, batch in stream for row in batch[: indices.size]]
         assert len(rows) == n_draws
         exact_y = [Fraction(v) for v in y]
         for lab in labels:

@@ -18,7 +18,13 @@ from factorial_rerand.balance import (
     mahalanobis,
     mean_difference,
 )
-from factorial_rerand.criteria import AcceptanceRule, Tier, accept, resolve_thresholds
+from factorial_rerand.criteria import (
+    AcceptanceRule,
+    Tier,
+    accept,
+    implied_acceptance_probability,
+    resolve_thresholds,
+)
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 from factorial_rerand.errors import SingularCovariance
 
@@ -173,7 +179,7 @@ def test_every_scoring_route_gives_one_distance(k, r, p, scales, joint, seed):
         if accept(profile, rule):
             accepted.append(i)
     rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
-    positions, _ = kernel.screen(rng, limit, limit, 0.5)
+    positions, _ = kernel.screen(rng, limit, limit, lambda rows: rows)
     assert positions.tolist() == accepted
 
 
@@ -206,30 +212,43 @@ def test_screen_matches_whole_batch_draw(k, r, joint, prob, limit, need, seed):
     x = CovariateMatrix(np.random.default_rng(seed).normal(size=(spec.n, 2)), names=("u", "v"))
     rule = AcceptanceRule(tiers=(Tier("all", mm.effect_labels, joint_prob=joint),), p=2)
     kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
+    # The chunk sizing reads the kernel's acceptance probability; any value
+    # must give the same survivors.
+    kernel.prob = prob
 
     whole = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit)
     alive = kernel.surviving(whole)
     rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
-    positions, rows = kernel.screen(rng, limit, need, prob)
+    positions, rows = kernel.screen(rng, limit, need, lambda rows: rows)
     # A prefix of the whole batch's survivors, stopping only once enough passed.
     assert positions.size >= min(need, alive.size)
     assert np.array_equal(positions, alive[: positions.size])
     assert np.array_equal(rows, whole[positions])
 
 
-def test_pure_stream_draws_the_first_rows_of_each_batch(kernel_setup):
-    _, _, _, kernel, _, _ = kernel_setup
-    got = np.concatenate(
-        list(sampling.pure_stream(kernel, lambda rows: rows, 7, sampling.PURPOSE_CALIBRATE, 32, 75, 2))
+def test_kernel_prob_is_the_rules_implied_acceptance_probability(kernel_setup):
+    spec, mm, x, kernel, rule, _ = kernel_setup
+    assert kernel.prob == implied_acceptance_probability(rule)
+    assert sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={}).prob == 1.0
+
+
+def test_pure_stream_draws_the_first_rows_of_each_batch(kernel_setup, monkeypatch):
+    # A pure draw is a screen with no thresholds: every row survives.
+    spec, mm, x, kernel, _, _ = kernel_setup
+    pure = sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={})
+    monkeypatch.setattr(sampling, "STUDY_BATCH", 32)
+    got, scanned = sampling.collect(
+        pure, lambda rows: rows, 7, sampling.PURPOSE_CALIBRATE, 75, 75, 2
     )
     whole = [
         kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32) for b in range(3)
     ]
     assert np.array_equal(got, np.concatenate(whole)[:75])
+    assert scanned == 75
 
 
 def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
-    _, _, _, kernel, _, _ = kernel_setup
+    spec, mm, x, kernel, _, _ = kernel_setup
     cap = sampling.MAX_CHUNK
     limit = 3 * cap + 37
     whole = kernel.draw(sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0), limit)
@@ -246,21 +265,33 @@ def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
         return draw(self, rng, size)
 
     monkeypatch.setattr(sampling.BalanceKernel, "draw", recording_draw)
+    scored = []
+
+    def score(rows):
+        scored.append(rows.shape[0])
+        return rows
+
     rng = sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0)
-    positions, rows = kernel.screen(rng, limit, limit, 0.3)
+    positions, rows = kernel.screen(rng, limit, limit, score)
     assert sizes == [cap, cap, cap, 37]
     assert np.array_equal(positions, alive)
     assert np.array_equal(rows, whole[alive])
+    # Survivors are scored once they fill a chunk, and at the end.
+    assert sum(scored) == alive.size and all(s >= cap for s in scored[:-1])
 
+    no_screen = sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={})
+    monkeypatch.setattr(sampling, "STUDY_BATCH", batch)
     for workers in (1, 2):
         sizes.clear()
-        chunks = list(sampling.pure_stream(
-            kernel, lambda rows: rows, 9, sampling.PURPOSE_CALIBRATE, batch, n, workers
-        ))
-        # One result per chunk, in order: batch 0 is 1034 rows, batch 1 the 502 left.
-        assert [c.shape[0] for c in chunks] == [cap, cap, 10, cap - 10]
+        scored.clear()
+        got, _ = sampling.collect(no_screen, score, 9, sampling.PURPOSE_CALIBRATE, n, n, workers)
+        # One score per chunk: batch 0 is 1034 rows, batch 1 the 502 left.
+        # Two threads may score the two batches in either order.
+        assert sorted(scored) == sorted([cap, cap, 10, cap - 10])
+        if workers == 1:
+            assert scored == [cap, cap, 10, cap - 10]
         assert sorted(sizes) == [10, cap - 10, cap, cap]
-        assert np.array_equal(np.concatenate(chunks), pure)
+        assert np.array_equal(got, pure)
 
 
 @pytest.fixture(scope="module")

@@ -7,12 +7,7 @@ import pytest
 from factorial_rerand import engine, sampling, simlab
 from factorial_rerand.assignment import Allocation, expand_assignment
 from factorial_rerand.balance import CovariateMatrix
-from factorial_rerand.criteria import (
-    AcceptanceRule,
-    Tier,
-    chi2_quantile,
-    implied_acceptance_probability,
-)
+from factorial_rerand.criteria import AcceptanceRule, Tier, chi2_quantile
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 from factorial_rerand.errors import DimensionMismatch
 
@@ -216,20 +211,17 @@ def test_variance_study_estimates_match_the_scalar_path(desk):
     spec, x, rule, model = desk
     n_reps, seed = 300, 8
     report = simlab.variance_study(spec, x, rule, model, n_reps=n_reps, seed=seed)
-    mm, kernel, _ = engine._prepare(x, spec, rule, None)
+    mm, kernel, _ = engine._prepare(x, spec, rule)
     po = simlab.generate_potential_outcomes(
         model, x, mm, sampling.batch_rng(seed, sampling.PURPOSE_OUTCOMES, 0)
     )
-    prob = implied_acceptance_probability(rule)
-    stream = sampling.accepted_stream(
-        lambda rng, limit: kernel.screen(rng, limit, n_reps, prob),
-        seed, sampling.PURPOSE_STUDY_ACCEPTED, sampling.STUDY_BATCH, n_reps, 1_000_000, 1,
+    accepted, _ = sampling.collect(
+        kernel, lambda rows: rows, seed, sampling.PURPOSE_STUDY_ACCEPTED, n_reps, 1_000_000, 1
     )
-    accepted = [row for indices, rows in stream for row in rows[: indices.size]]
-    pure = np.concatenate(list(sampling.pure_stream(
-        kernel, lambda rows: rows, seed, sampling.PURPOSE_STUDY_PURE, sampling.STUDY_BATCH,
-        n_reps, 1,
-    )))
+    no_screen = sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={})
+    pure, _ = sampling.collect(
+        no_screen, lambda rows: rows, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps, 1
+    )
     labels = report.effect_labels
 
     def scalar(rows):
