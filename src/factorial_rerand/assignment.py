@@ -24,7 +24,8 @@ class Allocation:
     seed_info: dict[str, Any] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        combos = np.ascontiguousarray(self.combo_of_unit, dtype=np.int32)
+        # A private copy, so that the caller's array stays theirs to change.
+        combos = np.array(self.combo_of_unit, dtype=np.int32, order="C")
         if combos.ndim != 1 or combos.shape[0] != self.spec.n:
             raise DimensionMismatch(
                 f"allocation must assign all {self.spec.n} units, got shape {combos.shape}"

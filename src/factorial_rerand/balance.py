@@ -28,13 +28,19 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class CovariateMatrix:
-    """n x p matrix of unit covariates with named columns."""
+    """n x p matrix of unit covariates with named columns.
+
+    Immutable: it holds a read-only copy of the entries it is given, so the
+    engine may key prepared state on the object itself.
+    """
 
     entries: np.ndarray
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.entries, dtype=np.float64)
+        # A private copy: freezing the caller's own array would leave the
+        # caller able to unfreeze it and change a validated matrix.
+        arr = np.array(self.entries, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise DimensionMismatch(f"covariates must be a 2-d array, got shape {arr.shape}")
         names = tuple(str(s) for s in self.names)

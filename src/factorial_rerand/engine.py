@@ -5,13 +5,22 @@ score every monitored effect, keep the first draw that clears all
 thresholds.  No partial repair of rejected draws, so accepted allocations
 follow the uniform distribution conditioned on acceptance.  Inference reuses
 the same accepted-allocation distribution as its reference set.
+
+Every call prepares its inputs the same way: the model matrix, the fitted
+covariance, the thresholds and the scoring kernel.  That state depends only
+on the covariates object, the design and the rule, so it is built once and
+reused by every later call on the same three, for as long as the covariates
+object lives.  Reuse changes no output: a warm call gives the bits of a
+cold one.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,9 +95,37 @@ class RerandomizationResult:
         }
 
 
+# The kernel prepared for each covariates object: x -> {(spec, rule): kernel}.
+# Weak keys drop an entry with the caller's covariates, and a kernel holds no
+# reference back to x, so no entry outlives it.
+_kernels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_kernels_lock = threading.Lock()
+
+
 def _prepare(
     x: CovariateMatrix, spec: DesignSpec, rule: AcceptanceRule
 ) -> tuple[ModelMatrix, sampling.BalanceKernel, dict[str, float]]:
+    """Model matrix, fitted kernel and thresholds for one covariates object, design and rule.
+
+    The kernel is built once and reused while ``x`` lives: ``x`` is
+    immutable, ``spec`` and ``rule`` are frozen values, and the kernel is
+    read-only apart from its per-thread scratch.  A call that raises stores
+    nothing.  Each call gets its own copy of the thresholds.
+    """
+    key = (spec, rule)
+    with _kernels_lock:
+        entries = _kernels.get(x)
+        kernel = None if entries is None else entries.get(key)
+        if kernel is None:
+            kernel = _fit(x, spec, rule)
+            if entries is None:
+                _kernels[x] = {key: kernel}
+            else:
+                entries[key] = kernel
+    return kernel.mm, kernel, kernel.thresholds.copy()
+
+
+def _fit(x: CovariateMatrix, spec: DesignSpec, rule: AcceptanceRule) -> sampling.BalanceKernel:
     if x.n != spec.n:
         raise DimensionMismatch(
             f"covariates have {x.n} rows but the design allocates {spec.n} units"
@@ -99,10 +136,7 @@ def _prepare(
         )
     mm = expand_model_matrix(build_design_matrix(spec))
     check_effects(rule.monitored_effects, mm.effect_labels)
-    cm = fit_covariance(x)
-    thresholds = resolve_thresholds(rule)
-    kernel = sampling.BalanceKernel(x, spec, mm, cm, thresholds)
-    return mm, kernel, thresholds
+    return sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
 
 
 def rerandomize(

@@ -37,12 +37,14 @@ of one gather only; no value depends on it.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, TypeVar
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -203,17 +205,21 @@ def collect(
 class BalanceKernel:
     """Precomputed state for scoring candidate allocations fast.
 
-    Holds the centered covariates, the same covariates whitened once
+    Built from covariates ``x`` and the covariance model ``cm`` fitted on
+    them.  Holds the centered covariates, the same covariates whitened once
     (``white``), and per-effect sign lookups indexed by the 1-based
     combination index (entry 0 is padding, so gathers need no shifted copy of
     the indices).  Mean differences are shift-invariant (signed columns sum to
     zero), so centering is exact, not an approximation.  Over ``white`` they
     come out whitened, so the screen runs no linear solve.
 
-    Thread-safe: the covariates and lookups are read-only, and the only
-    scratch is one sign buffer per thread (a ``threading.local``), which a
-    gather overwrites and no result refers to.  ``draw``, ``mean_diffs`` and
-    the screens return fresh arrays, valid across later calls on any thread.
+    Thread-safe: the covariates, lookups and thresholds are read-only, and
+    the only scratch is one sign buffer per thread (a ``threading.local``),
+    which a gather overwrites and no result refers to.  So one kernel may
+    serve many calls and threads; the engine keeps one per covariates
+    object, design and rule.  It holds no reference to the covariates object
+    it was built from.  ``draw``, ``mean_diffs`` and the screens return
+    fresh arrays, valid across later calls on any thread.
     """
 
     def __init__(
@@ -231,19 +237,44 @@ class BalanceKernel:
         self.cm = cm
         self.n = spec.n
         self.base = combination_multiset(spec)
-        self.centered = x.centered()
+        # The means ``cm`` was fitted with: the same bits as ``x.centered()``,
+        # without computing them again.
+        self.centered = x.entries - cm.means
         self.white = cm.whiten(self.centered)
         for arr in (self.centered, self.white):
             arr.setflags(write=False)
-        self.thresholds = dict(thresholds)
-        # Screen the most selective effect first: survivors shrink fastest.
-        self.screen_order = sorted(
-            self.thresholds, key=lambda lab: chi2_cdf(cm.p, self.thresholds[lab])
-        )
-        # Implied acceptance probability: it sizes the screen's chunks.
-        self.prob = acceptance_probability(self.thresholds, cm.p)
         self._signs: dict[str, np.ndarray] = {}
         self._scratch = threading.local()
+        self._set_thresholds(thresholds)
+        self._unscreened: BalanceKernel | None = None
+
+    def _set_thresholds(self, thresholds: Mapping[str, float]) -> None:
+        self.thresholds = MappingProxyType(dict(thresholds))
+        # Screen the most selective effect first: survivors shrink fastest.
+        self.screen_order = sorted(
+            self.thresholds, key=lambda lab: chi2_cdf(self.cm.p, self.thresholds[lab])
+        )
+        # Implied acceptance probability: it sizes the screen's chunks.
+        self.prob = acceptance_probability(self.thresholds, self.cm.p)
+
+    def unscreened(self) -> BalanceKernel:
+        """This kernel with no thresholds: its screen passes every draw.
+
+        Built on first use and kept.  It shares the covariates, the sign
+        lookups and the per-thread sign buffers, which a thread uses for one
+        gather at a time, so a pure draw next to a screened one prepares
+        nothing again.
+        """
+        if not self.thresholds:
+            return self
+        pure = self._unscreened
+        if pure is None:
+            # Two threads may both get here; each builds an equal twin and
+            # either one serves.
+            pure = copy.copy(self)
+            pure._set_thresholds({})
+            self._unscreened = pure
+        return pure
 
     def sign_lookup(self, label: str) -> np.ndarray:
         """Signed value of one effect column per combination index (float64).

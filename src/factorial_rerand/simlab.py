@@ -376,7 +376,7 @@ def variance_study(
     s_acc, scanned = sampling.collect(
         kernel, batch_stats, seed, sampling.PURPOSE_STUDY_ACCEPTED, n_reps, max_draws, workers
     )
-    pure = sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={})
+    pure = kernel.unscreened()
     s_pure, _ = sampling.collect(
         pure, batch_stats, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps, workers
     )
@@ -497,7 +497,7 @@ def independence_study(
     def scan(combos: np.ndarray) -> np.ndarray:
         return np.stack([kernel.mean_diffs(combos, lab, cols) for lab in labels], axis=1)
 
-    pure = sampling.BalanceKernel(x, spec, mm, kernel.cm, thresholds={})
+    pure = kernel.unscreened()
     s_all, _ = sampling.collect(
         pure, scan, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps, workers
     )

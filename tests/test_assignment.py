@@ -37,6 +37,15 @@ def test_allocation_validation():
         Allocation(spec=spec, combo_of_unit=np.array([1, 1, 2, 2, 3, 3, 4, 5]))
 
 
+def test_allocation_keeps_a_private_copy():
+    combos = np.array([1, 1, 2, 2, 3, 3, 4, 4], dtype=np.int32)
+    alloc = Allocation(spec=DesignSpec(k=2, r=2), combo_of_unit=combos)
+    assert combos.flags.writeable
+    assert not alloc.combo_of_unit.flags.writeable
+    combos[:2] = 4
+    assert alloc.combo_of_unit.tolist() == [1, 1, 2, 2, 3, 3, 4, 4]
+
+
 def test_random_allocation_is_balanced_and_deterministic():
     spec = DesignSpec(k=3, r=5)
     a1 = random_allocation(spec, np.random.default_rng(7))

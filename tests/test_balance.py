@@ -138,6 +138,18 @@ def test_covariate_matrix_validation():
         x.subset(["missing"])
 
 
+def test_covariate_matrix_keeps_a_private_copy():
+    # A C-contiguous float64 array needs no conversion; freezing it in place
+    # would let its owner unfreeze it and change the validated matrix.
+    a = np.arange(8.0).reshape(4, 2)
+    x = CovariateMatrix(a, names=("a", "b"))
+    assert a.flags.writeable
+    assert not x.entries.flags.writeable
+    a[0, 0] = 99.0
+    assert x.entries[0, 0] == 0.0
+    assert x.subset(["a"]).entries[0, 0] == 0.0
+
+
 def test_balance_profile_rows_and_lookup():
     rng = np.random.default_rng(2)
     spec = DesignSpec(k=2, r=4)

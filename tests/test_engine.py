@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from factorial_rerand.engine import (
     randomization_test,
     rerandomize,
 )
-from factorial_rerand.errors import DimensionMismatch, MaxDrawsExceeded
+from factorial_rerand.errors import DimensionMismatch, MaxDrawsExceeded, SingularCovariance
 
 
 @pytest.fixture
@@ -356,3 +358,106 @@ def test_randomization_test_worker_invariant_with_partial_final_batch(small_prob
         assert outs[0] == outs[1] == outs[2]
     assert run(1, scanned) == full
     assert "collected 149 of 150" in run(1, scanned - 1)
+
+
+def _fresh(x):
+    """An equal-valued covariates object with no prepared state of its own."""
+    return CovariateMatrix(x.entries, names=x.names)
+
+
+def test_one_kernel_serves_every_call_on_the_same_inputs(small_problem, monkeypatch):
+    spec, x, rule = small_problem
+    built = []
+    init = sampling.BalanceKernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sampling.BalanceKernel, "__init__", counting_init)
+    result = rerandomize(x, spec, rule, seed=3)
+    y = np.random.default_rng(3).normal(size=32)
+    randomization_test(y, result.allocation, x, rule, ("A",), n_draws=100, seed=4)
+    simlab.variance_study(spec, x, rule, None, n_reps=50, seed=5)
+    simlab.independence_study(spec, x, rule, n_reps=50, seed=6)
+    assert len(built) == 1
+    # An equal but distinct covariates object is prepared on its own.
+    other = _fresh(x)
+    rerandomize(other, spec, rule, seed=3)
+    assert len(built) == 2
+    assert engine._prepare(x, spec, rule)[1] is built[0]
+    assert engine._prepare(other, spec, rule)[1] is built[1]
+    # So are an equal-valued design and rule: they hash by value.
+    assert engine._prepare(x, DesignSpec(k=2, r=8), AcceptanceRule(
+        tiers=(Tier("mains", ("A", "B"), joint_prob=0.25),), p=2))[1] is built[0]
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_warm_calls_equal_a_cold_call(small_problem, workers):
+    spec, x, rule = small_problem
+    y = np.random.default_rng(8).normal(size=32)
+    model = simlab.OutcomeModel(effects={"A": 1.0}, beta=np.ones(2), sigma=1.0)
+
+    def outputs(cov):
+        r = rerandomize(cov, spec, rule, seed=12, workers=workers)
+        t = randomization_test(y, r.allocation, cov, rule, ("A", "AB"), n_draws=150, seed=13,
+                               workers=workers)
+        s = simlab.variance_study(spec, cov, rule, model, n_reps=60, seed=14, workers=workers)
+        i = simlab.independence_study(spec, cov, rule, n_reps=60, seed=15, workers=workers)
+        return (r.allocation.combo_of_unit.tolist(), r.draws_attempted, r.profile.distances,
+                r.thresholds, r.acceptance_probability, t.to_dict(),
+                json.dumps(s.to_dict()), json.dumps(i.to_dict()))
+
+    cold = outputs(_fresh(x))
+    outputs(x)
+    assert outputs(x) == outputs(x) == cold
+
+
+def test_results_own_their_thresholds(small_problem):
+    spec, x, rule = small_problem
+    first = rerandomize(x, spec, rule, seed=4)
+    expected = dict(first.thresholds)
+    # A shared dict would carry these into every later call.
+    first.thresholds["A"] = 0.0
+    first.thresholds["B"] = 1e9
+    later = rerandomize(x, spec, rule, seed=4)
+    cold = rerandomize(_fresh(x), spec, rule, seed=4)
+    assert later.thresholds == cold.thresholds == expected
+    assert np.array_equal(later.allocation.combo_of_unit, cold.allocation.combo_of_unit)
+    assert later.draws_attempted == cold.draws_attempted
+    report = simlab.variance_study(spec, x, rule, None, n_reps=20, seed=1)
+    report.thresholds.clear()
+    assert engine._prepare(x, spec, rule)[2] == expected
+    with pytest.raises(TypeError):
+        engine._prepare(x, spec, rule)[1].thresholds["A"] = 0.0
+
+
+def test_prepared_state_lives_as_long_as_the_covariates():
+    spec = DesignSpec(k=2, r=8)
+    rule = AcceptanceRule(tiers=(Tier("mains", ("A", "B"), joint_prob=0.25),), p=2)
+    x = CovariateMatrix(np.random.default_rng(6).normal(size=(32, 2)), names=("x1", "x2"))
+    result = rerandomize(x, spec, rule, seed=1)
+    gc.collect()  # drops what earlier tests left behind
+    entries = len(engine._kernels)
+    kernel = weakref.ref(engine._prepare(x, spec, rule)[1])
+    owner = weakref.ref(x)
+    del x
+    gc.collect()
+    assert owner() is None
+    assert kernel() is None
+    assert len(engine._kernels) == entries - 1
+    assert result.allocation.n == 32
+
+
+def test_a_failed_preparation_stores_nothing(small_problem):
+    spec, x, rule = small_problem
+    wrong_p = AcceptanceRule(tiers=(Tier("mains", ("A",), joint_prob=0.5),), p=3)
+    unknown = AcceptanceRule(tiers=(Tier("mains", ("A", "C"), joint_prob=0.5),), p=2)
+    constant = CovariateMatrix(np.column_stack((x.entries[:, 0], np.ones(32))), names=x.names)
+    for cov, rule_, error in ((x, wrong_p, DimensionMismatch), (x, unknown, ValueError),
+                              (constant, rule, SingularCovariance)):
+        for _ in range(2):
+            with pytest.raises(error):
+                rerandomize(cov, spec, rule_, seed=1)
+        assert cov not in engine._kernels

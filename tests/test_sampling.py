@@ -9,7 +9,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import mahalanobis_direct
-from factorial_rerand import sampling
+from factorial_rerand import engine, sampling
 from factorial_rerand.assignment import Allocation, expand_assignment
 from factorial_rerand.balance import (
     CovariateMatrix,
@@ -340,20 +340,51 @@ def test_threads_scoring_one_kernel_get_the_serial_results(paper_kernel):
     paper_kernel.mean_diffs(blocks[1], "A")
     assert np.array_equal(first, kept)
 
+    def score(i):
+        diffs = [paper_kernel.mean_diffs(blocks[i], lab) for lab in ("A", "AB")]
+        alive = paper_kernel.surviving(blocks[i])
+        return (all(np.array_equal(d, s) for d, s in zip(diffs, serial[i][0]))
+                and np.array_equal(alive, serial[i][1]))
+
+    assert _mismatches_in_threads(score, range(len(blocks)), 20) == []
+
+
+def test_threads_sharing_a_prepared_kernel_get_the_serial_results():
+    # Two threads rerandomize the same inputs with different seeds, over the
+    # one kernel the engine prepared for them, each call several batches long.
+    spec = DesignSpec(k=3, r=8)
+    x = CovariateMatrix(np.random.default_rng(17).normal(size=(spec.n, 3)), names=("a", "b", "c"))
+    rule = AcceptanceRule(tiers=(Tier("mains", ("A", "B", "C"), joint_prob=0.005),), p=3)
+    seeds = (33, 36)
+    serial = {s: engine.rerandomize(x, spec, rule, seed=s) for s in seeds}
+    assert min(r.draws_attempted for r in serial.values()) > 2 * sampling.ENGINE_BATCH
+    kernel = engine._prepare(x, spec, rule)[1]
+
+    def run(seed):
+        result = engine.rerandomize(x, spec, rule, seed=seed)
+        return (np.array_equal(result.allocation.combo_of_unit,
+                               serial[seed].allocation.combo_of_unit)
+                and result.draws_attempted == serial[seed].draws_attempted
+                and result.profile.distances == serial[seed].profile.distances)
+
+    assert _mismatches_in_threads(run, seeds, 10) == []
+    assert engine._prepare(x, spec, rule)[1] is kernel
+
+
+def _mismatches_in_threads(check, cases, rounds):
+    """Run ``check(case)`` ``rounds`` times in one thread per case, switching
+    threads as often as the interpreter allows; the cases whose check failed."""
     mismatches = []
 
-    def score(i):
-        for _ in range(20):
-            diffs = [paper_kernel.mean_diffs(blocks[i], lab) for lab in ("A", "AB")]
-            alive = paper_kernel.surviving(blocks[i])
-            if not (all(np.array_equal(d, s) for d, s in zip(diffs, serial[i][0]))
-                    and np.array_equal(alive, serial[i][1])):
-                mismatches.append(i)
+    def work(case):
+        for _ in range(rounds):
+            if not check(case):
+                mismatches.append(case)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(blocks))]
+        threads = [threading.Thread(target=work, args=(case,)) for case in cases]
         for t in threads:
             t.start()
         for t in threads:
@@ -361,4 +392,4 @@ def test_threads_scoring_one_kernel_get_the_serial_results(paper_kernel):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert mismatches == []
+    return mismatches
