@@ -3,8 +3,12 @@
 The rerandomizer is a rejection sampler: draw whole balanced allocations,
 score every monitored effect, keep the first draw that clears all
 thresholds.  No partial repair of rejected draws, so accepted allocations
-follow the uniform distribution conditioned on acceptance.  Inference reuses
-the same accepted-allocation distribution as its reference set.
+follow the uniform distribution conditioned on acceptance.  That holds only
+if one rule decides acceptance, so the kernel's screen is the only judge:
+``rerandomize`` is ``sampling.collect`` of one draw, and
+``randomization_test`` vets the observed allocation with the same screen.
+Inference reuses the same accepted-allocation distribution as its reference
+set.
 
 Every call prepares its inputs the same way: the model matrix, the fitted
 covariance, the thresholds and the scoring kernel.  That state depends only
@@ -17,12 +21,11 @@ cold one.
 from __future__ import annotations
 
 import logging
-import math
 import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,12 +37,7 @@ from .balance import (
     balance_profile,
     fit_covariance,
 )
-from .criteria import (
-    AcceptanceRule,
-    ThresholdMode,
-    accept,
-    resolve_thresholds,
-)
+from .criteria import AcceptanceRule, ThresholdMode, resolve_thresholds
 from .design import DesignSpec, ModelMatrix, build_design_matrix, check_effects, expand_model_matrix
 from .errors import DimensionMismatch, MaxDrawsExceeded
 
@@ -50,7 +48,14 @@ DEFAULT_MAX_DRAWS = 1_000_000
 
 @dataclass(frozen=True, eq=False)
 class RerandomizationResult:
-    """An accepted allocation plus everything needed to audit the run."""
+    """An accepted allocation plus everything needed to audit the run.
+
+    ``profile`` is ``balance_profile``'s score of the winner, the same bits as
+    ``rerand diagnose`` prints.  The screen that accepted the winner scored it
+    inside a block of candidates, with its float operations in another order,
+    so a reported distance can differ from the one the screen compared with
+    its threshold by rounding (about 1e-15 relative at the paper's scale).
+    """
 
     allocation: Allocation
     assignment: AssignmentMatrix
@@ -149,9 +154,12 @@ def rerandomize(
 ) -> RerandomizationResult:
     """Draw balanced allocations until one passes the acceptance rule.
 
-    Deterministic given the seed: candidate batches are keyed by global index,
-    and the earliest accepted index wins, so worker count affects wall time
-    only.  Raises MaxDrawsExceeded when the budget runs out.
+    One accepted draw of ``sampling.collect``, in ``ENGINE_BATCH``-row
+    batches: the kernel's screen decides acceptance, and the winner is the
+    lowest-index candidate it passes.  Deterministic given the seed:
+    candidate batches are keyed by global index, so worker count affects wall
+    time only.  The winner is then scored once with ``balance_profile``, for
+    its report only.  Raises MaxDrawsExceeded when the budget runs out.
     """
     if max_draws < 1:
         raise ValueError(f"max_draws must be positive, got {max_draws}")
@@ -168,51 +176,37 @@ def rerandomize(
                 max_draws,
             )
 
-    batch = sampling.ENGINE_BATCH
-
-    def scan(
-        rng: np.random.Generator, limit: int
-    ) -> tuple[np.ndarray, tuple[np.ndarray, AssignmentMatrix, BalanceProfile] | None]:
-        # Screen the whole batch and re-score its survivors in order with the
-        # scalar path, which is authoritative: a float tie right at a
-        # threshold falls through to the batch's next survivor.
-        positions, rows = kernel.screen(rng, limit, limit, lambda rows: rows)
-        for i, row in enumerate(rows):
-            w = expand_assignment(Allocation(spec=spec, combo_of_unit=row), mm)
-            profile = balance_profile(x, w, rule.monitored_effects, cm=kernel.cm)
-            if accept(profile, rule):
-                return positions[i : i + 1], (row, w, profile)
-        return positions[:0], None
-
-    stream = sampling.accepted_stream(
-        scan, seed, sampling.PURPOSE_RERANDOMIZE, batch, 1, max_draws, workers
+    try:
+        rows, draws_attempted = sampling.collect(
+            kernel, lambda rows: rows, seed, sampling.PURPOSE_RERANDOMIZE, 1, max_draws,
+            workers, batch=sampling.ENGINE_BATCH,
+        )
+    except MaxDrawsExceeded:
+        raise MaxDrawsExceeded(
+            f"no acceptable allocation within {max_draws} draws "
+            f"(implied acceptance probability {prob:.3g})"
+        ) from None
+    alloc = Allocation(
+        spec=spec,
+        combo_of_unit=rows[0],
+        seed_info={
+            "seed": seed,
+            "batch": (draws_attempted - 1) // sampling.ENGINE_BATCH,
+            "draws_attempted": draws_attempted,
+        },
     )
-    for indices, (winner, w, profile) in stream:
-        draws_attempted = int(indices[0]) + 1
-        alloc = Allocation(
-            spec=spec,
-            combo_of_unit=winner,
-            seed_info={
-                "seed": seed,
-                "batch": int(indices[0]) // batch,
-                "draws_attempted": draws_attempted,
-            },
-        )
-        return RerandomizationResult(
-            allocation=alloc,
-            assignment=w,
-            profile=profile,
-            rule=rule,
-            thresholds=thresholds,
-            draws_attempted=draws_attempted,
-            acceptance_probability=prob,
-            elapsed_seconds=time.perf_counter() - t0,
-            seed=seed,
-            workers=workers,
-        )
-    raise MaxDrawsExceeded(
-        f"no acceptable allocation within {max_draws} draws "
-        f"(implied acceptance probability {prob:.3g})"
+    w = expand_assignment(alloc, mm)
+    return RerandomizationResult(
+        allocation=alloc,
+        assignment=w,
+        profile=balance_profile(x, w, rule.monitored_effects, cm=kernel.cm),
+        rule=rule,
+        thresholds=thresholds,
+        draws_attempted=draws_attempted,
+        acceptance_probability=prob,
+        elapsed_seconds=time.perf_counter() - t0,
+        seed=seed,
+        workers=workers,
     )
 
 
@@ -341,16 +335,12 @@ def randomization_test(
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise DimensionMismatch(f"outcomes have shape {y.shape}, expected ({spec.n},)")
     labels = check_effects(effects, mm.effect_labels)
-    w_obs = expand_assignment(alloc_obs, mm)
-    obs_profile = balance_profile(x, w_obs, rule.monitored_effects, cm=kernel.cm)
-    if not accept(obs_profile, rule):
+    if kernel.surviving(alloc_obs.combo_of_unit[None, :]).size == 0:
         raise ValueError(
             "observed allocation fails the acceptance rule; the reference "
             "distribution would not contain it"
         )
-    observed = {
-        lab: est for lab, est in estimate_effects(y, w_obs, labels).estimates.items()
-    }
+    observed = estimate_effects(y, expand_assignment(alloc_obs, mm), labels).estimates
 
     def statistics(rows: np.ndarray) -> np.ndarray:
         # einsum reduces each row on its own, so a row's statistic does not

@@ -12,10 +12,14 @@ gives exactly the rows of one whole-batch draw.  The streams below draw only
 as many rows as the demand calls for: chunking changes how many candidates
 are drawn, never which candidates exist or which one wins.
 
-Every table is collected through one screen (``collect``).  Pure
-randomization is the rejection sampler with a rule that accepts every draw:
-a kernel with no thresholds screens nothing, so every row it draws survives,
-and a pure draw comes in the same chunks as any other screen.
+Every accepted draw is collected through one sampler (``collect``), and
+``BalanceKernel.screen`` is the only judge of acceptance: nothing scores a
+survivor again to decide whether it counts.  ``rerandomize`` is ``collect``
+of one draw in ``ENGINE_BATCH``-row batches; tables use ``STUDY_BATCH``-row
+batches.  Pure randomization is the rejection sampler with a rule that
+accepts every draw: a kernel with no thresholds screens nothing, so every
+row it draws survives, and a pure draw comes in the same chunks as any other
+screen.
 
 Every draw is at most ``MAX_CHUNK`` rows.  The cap is one constant,
 independent of ``workers``, of the demand and of the design size, so the
@@ -124,47 +128,6 @@ def ordered_parallel_map(
             yield fut.result()
 
 
-def accepted_stream(
-    scan: Callable[[np.random.Generator, int], tuple[np.ndarray, T]],
-    seed: int,
-    purpose: int,
-    batch: int,
-    n: int,
-    max_draws: int,
-    workers: int,
-) -> Iterator[tuple[np.ndarray, T]]:
-    """The first ``n`` accepted candidates of one keyed stream, batch by batch.
-
-    ``scan(rng, limit)`` screens one batch: ``rng`` is the batch's own
-    generator and ``limit`` the batch length cut to the ``max_draws`` budget.
-    It returns the ascending in-batch positions of the survivors it found and
-    a value holding one entry per survivor.  Scans should stop at the whole
-    demand ``n``, which bounds what any batch must supply.  The demand still
-    open when a batch starts would be tighter, but it depends on how many
-    batches ran ahead in parallel; a fixed bound keeps the rows each batch
-    draws, and so the blocks its statistics are computed on, the same for any
-    ``workers`` (a BLAS result can round differently with the block's row
-    count).
-
-    Yields ``(global indices, value)`` for each batch with survivors, the
-    indices cut to the open demand (the value is not cut).  Stops once ``n``
-    candidates are accepted or the budget is spent.
-    """
-
-    def run(b: int) -> tuple[np.ndarray, T]:
-        positions, value = scan(batch_rng(seed, purpose, b), min(batch, max_draws - b * batch))
-        return b * batch + positions, value
-
-    remaining = n
-    for indices, value in ordered_parallel_map(run, range(-(-max_draws // batch)), workers):
-        indices = indices[:remaining]
-        if indices.size:
-            remaining -= indices.size
-            yield indices, value
-            if remaining == 0:
-                return
-
-
 def collect(
     kernel: BalanceKernel,
     score: Callable[[np.ndarray], np.ndarray],
@@ -173,33 +136,53 @@ def collect(
     n: int,
     max_draws: int,
     workers: int,
+    batch: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """``score`` of the first ``n`` accepted draws of one keyed stream, and the candidates scanned.
 
-    Batches are ``STUDY_BATCH`` rows, screened by ``kernel``; ``score(rows)``
-    gives one table row per survivor.  A pure draw passes a kernel with no
-    thresholds and ``max_draws = n``.  Raises MaxDrawsExceeded when the budget
-    runs out first.
+    Batch ``b`` holds ``batch`` rows (``STUDY_BATCH`` by default) drawn from
+    ``batch_rng(seed, purpose, b)``, cut to the ``max_draws`` budget.
+    ``kernel.screen`` alone decides which rows are accepted, and
+    ``score(rows)`` gives one table row per survivor, in global index order.
+    A pure draw passes a kernel with no thresholds and ``max_draws = n``;
+    ``rerandomize`` is one accepted draw in ``ENGINE_BATCH``-row batches.
+    The candidates scanned run up to and including the last accepted one.
+    Raises MaxDrawsExceeded when the budget runs out first.
+
+    Each batch's screen stops at the whole demand ``n``, which bounds what
+    any batch must supply.  The demand still open when a batch starts would
+    be tighter, but it depends on how many batches ran ahead in parallel; a
+    fixed bound keeps the rows each batch draws, and so the blocks its
+    statistics are computed on, the same for any ``workers`` (a BLAS result
+    can round differently with the block's row count).
     """
+    if batch is None:
+        batch = STUDY_BATCH
+
+    def run(b: int) -> tuple[np.ndarray, np.ndarray]:
+        positions, scores = kernel.screen(
+            batch_rng(seed, purpose, b), min(batch, max_draws - b * batch), n, score
+        )
+        return b * batch + positions, scores
+
     # Filled in place: a list of parts and its concatenation would hold the
     # table twice, and fault its pages in again on every call.
     table = None
     collected = scanned = 0
-    stream = accepted_stream(
-        lambda rng, limit: kernel.screen(rng, limit, n, score),
-        seed, purpose, STUDY_BATCH, n, max_draws, workers,
-    )
-    for indices, scores in stream:
+    for indices, scores in ordered_parallel_map(run, range(-(-max_draws // batch)), workers):
+        indices = indices[: n - collected]
+        if indices.size == 0:
+            continue
         if table is None:
             table = np.empty((n,) + scores.shape[1:], dtype=scores.dtype)
         table[collected : collected + indices.size] = scores[: indices.size]
         collected += indices.size
         scanned = int(indices[-1]) + 1
-    if collected < n:
-        raise MaxDrawsExceeded(
-            f"collected {collected} of {n} accepted draws within {max_draws} candidates"
-        )
-    return table, scanned
+        if collected == n:
+            return table, scanned
+    raise MaxDrawsExceeded(
+        f"collected {collected} of {n} accepted draws within {max_draws} candidates"
+    )
 
 
 class BalanceKernel:

@@ -71,32 +71,37 @@ def test_rerandomize_is_deterministic_across_worker_counts(small_problem):
             run(0)
 
 
-def test_rerandomize_float_tie_falls_through_to_next_survivor_of_same_batch(
-    small_problem, monkeypatch
-):
+def test_rerandomize_winner_is_the_first_screen_survivor(small_problem):
     spec, x, rule = small_problem
-    base = rerandomize(x, spec, rule, seed=9)
+    # A tight rule too, so that winners lie past the first batch and four
+    # workers scan several batches at once.
+    tight = AcceptanceRule(tiers=(Tier("mains", ("A", "B"), joint_prob=0.005),), p=2)
     batch = sampling.ENGINE_BATCH
-    b = (base.draws_attempted - 1) // batch
     mm = expand_model_matrix(build_design_matrix(spec))
-    kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
-    combos = kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_RERANDOMIZE, b), batch)
-    alive = kernel.surviving(combos)
-    assert b * batch + alive[0] + 1 == base.draws_attempted
-    assert alive.size >= 2
-
-    def reject_first_winner(profile, rule_):
-        # The scalar re-score disagrees with the batched screen on the first
-        # survivor only, as a float tie at a threshold would.
-        if profile.distances == base.profile.distances:
-            return False
-        return accept(profile, rule_)
-
-    monkeypatch.setattr(engine, "accept", reject_first_winner)
-    for workers in (1, 4):
-        result = rerandomize(x, spec, rule, seed=9, workers=workers)
-        assert result.draws_attempted == b * batch + alive[1] + 1
-        assert np.array_equal(result.allocation.combo_of_unit, combos[alive[1]])
+    batches = set()
+    for rule_ in (rule, tight):
+        kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule_))
+        for seed in range(6):
+            b = (rerandomize(x, spec, rule_, seed=seed).draws_attempted - 1) // batch
+            batches.add(b)
+            drawn = [
+                kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_RERANDOMIZE, i), batch)
+                for i in range(b + 1)
+            ]
+            assert all(kernel.surviving(c).size == 0 for c in drawn[:b])
+            combos = drawn[b]
+            alive = kernel.surviving(combos)
+            for workers in (1, 4):
+                result = rerandomize(x, spec, rule_, seed=seed, workers=workers)
+                assert result.draws_attempted == b * batch + alive[0] + 1, seed
+                assert result.allocation.seed_info["batch"] == b
+                assert np.array_equal(result.allocation.combo_of_unit, combos[alive[0]])
+                # The reported distances are balance_profile's bits, which
+                # ``rerand diagnose`` prints too.
+                w = expand_assignment(result.allocation, mm)
+                profile = balance_profile(x, w, rule_.monitored_effects, cm=fit_covariance(x))
+                assert result.profile.distances == profile.distances
+    assert max(batches) > 1
 
 
 def test_rerandomize_draw_counts_match_geometric_rate(small_problem):

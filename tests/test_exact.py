@@ -1,10 +1,11 @@
-"""Exact checks on a design small enough to enumerate.
+"""Exact checks on designs small enough to enumerate.
 
-K=2, r=2 has 8 units and 2,520 balanced allocations.  The oracle scores every
-one of them by the direct route (group means and an explicit inverse), which
-gives the exact set of allocations the rule accepts.  The sampler must draw
-only from that set, uniformly, and inference must match the exact
-conditional p-values over it.
+K=2, r=2 has 8 units and 2,520 balanced allocations; K=3, r=1 has 8 units and
+40,320, with a third level of nesting and a three-way interaction.  The
+oracle scores every allocation by the direct route (group means and an
+explicit inverse), which gives the exact set of allocations the rule
+accepts.  The sampler must draw only from that set, uniformly, and inference
+must match the exact conditional p-values over it.
 """
 
 from collections import Counter
@@ -23,12 +24,26 @@ from factorial_rerand.engine import randomization_test, rerandomize
 
 SPEC = DesignSpec(k=2, r=2)
 RULE = AcceptanceRule(tiers=(Tier("mains", ("A", "B"), joint_prob=0.5),), p=2)
+SPEC3 = DesignSpec(k=3, r=1)
+RULE3 = AcceptanceRule(
+    tiers=(Tier("mains", ("A", "B", "C"), joint_prob=0.3), Tier("abc", ("ABC",), joint_prob=0.5)),
+    p=2,
+)
 # Fixed before the first run: the goodness-of-fit level, the draws per
 # accepted allocation, and the seeds below.
 LEVEL = 1e-3
 DRAWS_PER_ALLOCATION = 40
+DRAWS_PER_ALLOCATION3 = 10
 # Binomial standard errors a Monte Carlo p-value may stray from the exact one.
 P_VALUE_SE = 5.0
+
+
+def _uniform_on(accepted, rows, per_allocation):
+    """Goodness-of-fit p-value of ``rows`` against uniform on ``accepted``, after checking containment."""
+    counts = Counter(map(tuple, rows.tolist()))
+    assert set(counts) <= accepted
+    stat = sum((counts[a] - per_allocation) ** 2 for a in accepted) / per_allocation
+    return 1.0 - chi2_cdf(len(accepted) - 1, stat)
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +79,7 @@ def test_collect_draws_uniformly_from_the_exact_accepted_set(exact):
     rows, _ = sampling.collect(
         kernel, lambda rows: rows, 1, sampling.PURPOSE_REFERENCE, n, 10 * n, 1
     )
-    counts = Counter(map(tuple, rows.tolist()))
-    assert set(counts) <= accepted
-    stat = sum((counts[a] - DRAWS_PER_ALLOCATION) ** 2 for a in accepted) / DRAWS_PER_ALLOCATION
-    assert 1.0 - chi2_cdf(len(accepted) - 1, stat) > LEVEL
+    assert _uniform_on(accepted, rows, DRAWS_PER_ALLOCATION) > LEVEL
 
 
 def test_rerandomize_winners_lie_in_the_exact_accepted_set(exact):
@@ -97,3 +109,45 @@ def test_randomization_test_p_values_match_the_exact_conditional_p_values(exact)
             # The add-one convention shifts the estimate by at most 1/(1+n).
             bound = P_VALUE_SE * math.sqrt(p * (1 - p) / n_draws) + 1 / (1 + n_draws)
             assert abs(result.p_value(lab) - p) <= bound, (seed, lab, p)
+
+
+@pytest.fixture(scope="module")
+def exact3():
+    x = CovariateMatrix(np.random.default_rng(40320).normal(size=(SPEC3.n, 2)), names=("x1", "x2"))
+    mm = expand_model_matrix(build_design_matrix(SPEC3))
+    inv = np.linalg.inv(np.cov(x.entries, rowvar=False))
+    allocations = np.array(balanced_allocations(SPEC3.k, SPEC3.r))
+    assert allocations.shape == (40320, SPEC3.n)
+    passes = np.ones(len(allocations), dtype=bool)
+    margin = math.inf
+    for label, a in resolve_thresholds(RULE3).items():
+        signs = mm.column(label)[allocations - 1].astype(np.float64)
+        # Group means over the n/2 units on each side, then n/4 d' S^-1 d.
+        d = signs @ x.entries / (SPEC3.n / 2)
+        m = SPEC3.n / 4 * np.einsum("ij,jk,ik->i", d, inv, d)
+        margin = min(margin, float(np.min(np.abs(m - a) / a)))
+        passes &= m <= a
+    assert margin > 1e-9
+    accepted = set(map(tuple, allocations[passes].tolist()))
+    assert 0 < len(accepted) < len(allocations)
+    return x, mm, accepted
+
+
+@pytest.mark.parametrize("batch", [None, sampling.ENGINE_BATCH])
+def test_collect_draws_uniformly_from_the_exact_accepted_set_k3(exact3, batch):
+    # ENGINE_BATCH-row batches of the rerandomize stream are the draws
+    # rerandomize takes its winner from.
+    x, mm, accepted = exact3
+    kernel = sampling.BalanceKernel(x, SPEC3, mm, fit_covariance(x), resolve_thresholds(RULE3))
+    n = DRAWS_PER_ALLOCATION3 * len(accepted)
+    rows, _ = sampling.collect(
+        kernel, lambda rows: rows, 3, sampling.PURPOSE_RERANDOMIZE, n, 100 * n, 1, batch=batch
+    )
+    assert _uniform_on(accepted, rows, DRAWS_PER_ALLOCATION3) > LEVEL
+
+
+def test_rerandomize_winners_lie_in_the_exact_accepted_set_k3(exact3):
+    x, _, accepted = exact3
+    for seed in range(100):
+        winner = rerandomize(x, SPEC3, RULE3, seed=seed).allocation.combo_of_unit
+        assert tuple(winner.tolist()) in accepted, seed
