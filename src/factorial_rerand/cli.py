@@ -27,8 +27,8 @@ import click
 
 from . import __version__, engine, fileio, sampling, simlab
 from .assignment import expand_assignment
-from .balance import CovariateMatrix, balance_profile, fit_covariance
-from .criteria import AcceptanceRule, ThresholdMode, Tier, accept, resolve_thresholds
+from .balance import CovariateMatrix, balance_profile
+from .criteria import AcceptanceRule, ThresholdMode, Tier
 from .design import DesignSpec, Order, build_design_matrix, expand_model_matrix
 from .errors import (
     DimensionMismatch,
@@ -173,7 +173,7 @@ class RunConfig:
     rule: AcceptanceRule | None
     seed: int
     seed_generated: bool
-    max_draws: int
+    max_draws: int | None  # None: each call's own default budget
     workers: int
     output_dir: Path
     test: dict[str, Any]  # n_draws, effects
@@ -267,7 +267,7 @@ class RunConfig:
             rule=rule,
             seed=secrets.randbits(63) if seed_value is None else seed_value,
             seed_generated=seed_value is None,
-            max_draws=_count(top, "max_draws", path, engine.DEFAULT_MAX_DRAWS),
+            max_draws=_count(top, "max_draws", path, None),
             workers=_count(top, "workers", path, 1),
             output_dir=out if output_dir is None else Path(output_dir),
             test=test,
@@ -285,6 +285,14 @@ class RunConfig:
     def echo_generated_seed(self) -> None:
         if self.seed_generated:
             click.echo(f"seed: {self.seed} (generated)")
+
+
+def _budget(run: RunConfig) -> dict[str, int]:
+    """``max_draws`` as a keyword argument when the config or a flag sets it.
+
+    Unset, each call keeps its own default budget.
+    """
+    return {} if run.max_draws is None else {"max_draws": run.max_draws}
 
 
 def _output_dir(path: Path) -> Path:
@@ -382,7 +390,7 @@ def allocate(
     )
     out = _output_dir(run.output_dir)
     result = engine.rerandomize(
-        run.x, run.spec, run.rule, run.seed, max_draws=run.max_draws, workers=run.workers
+        run.x, run.spec, run.rule, run.seed, workers=run.workers, **_budget(run)
     )
 
     fileio.write_allocation(out / "allocation.csv", result.allocation)
@@ -413,20 +421,22 @@ def diagnose(
 ) -> None:
     """Profile covariate balance for an existing allocation."""
     run = RunConfig.load(config_path)
-    rule = run.rule
     alloc = fileio.read_allocation(allocation_path, run.spec)
-    w = expand_assignment(alloc, expand_model_matrix(build_design_matrix(run.spec)))
-    labels = tuple(dict.fromkeys(_effect_list(effects) or rule.monitored_effects))
+    kernel = engine._prepare(run.x, run.spec, run.rule)
+    w = expand_assignment(alloc, kernel.mm)
+    monitored = run.rule.monitored_effects
+    labels = tuple(dict.fromkeys(_effect_list(effects) or monitored))
     # One profile covers the requested effects and the rule's.
-    profile = balance_profile(run.x, w, labels + rule.monitored_effects, cm=fit_covariance(run.x))
-    thresholds = resolve_thresholds(rule)
+    profile = balance_profile(run.x, w, labels + monitored, cm=kernel.cm)
+    # One comparison judges each effect and the rule.
+    passes = {eff: profile.m(eff) <= a for eff, a in kernel.thresholds.items()}
     rows = []
     for eff in labels:
-        a = thresholds.get(eff)
-        verdict = "" if a is None else ("PASS" if profile.m(eff) <= a else "FAIL")
+        a = kernel.thresholds.get(eff)
+        verdict = "" if a is None else ("PASS" if passes[eff] else "FAIL")
         rows.append((eff, profile.m(eff), "" if a is None else a, verdict))
     _echo_table(rows, header=("effect", "distance", "threshold", "status"))
-    click.echo(f"acceptance rule: {'PASS' if accept(profile, rule) else 'FAIL'}")
+    click.echo(f"acceptance rule: {'PASS' if all(passes.values()) else 'FAIL'}")
     if output:
         fileio.write_balance_report(output, dataclasses.replace(profile, effects=labels))
         click.echo(f"wrote {output}")
@@ -460,7 +470,7 @@ def test(
     result = engine.randomization_test(
         y, alloc, run.x, run.rule, labels,
         n_draws=run.test["n_draws"] if draws is None else draws,
-        seed=run.seed, workers=run.workers,
+        seed=run.seed, workers=run.workers, **_budget(run),
     )
     run.echo_generated_seed()
     rows = [(eff, result.observed[eff], result.p_values[eff]) for eff in result.effects]
@@ -506,6 +516,7 @@ def simulate(
         report = simlab.variance_study(
             run.spec, run.x, run.rule, sim["model"], n_reps, run.seed,
             effects=sim["effects"], report_x=sim["report_x"], workers=run.workers,
+            max_draws=run.max_draws,
         )
         click.echo(
             f"acceptance rate {report.acceptance_rate:.4f} over {report.draws_scanned} draws"

@@ -10,12 +10,15 @@ if one rule decides acceptance, so the kernel's screen is the only judge:
 Inference reuses the same accepted-allocation distribution as its reference
 set.
 
-Every call prepares its inputs the same way: the model matrix, the fitted
-covariance, the thresholds and the scoring kernel.  That state depends only
-on the covariates object, the design and the rule, so it is built once and
-reused by every later call on the same three, for as long as the covariates
-object lives.  Reuse changes no output: a warm call gives the bits of a
-cold one.
+Every caller in the package gets its scoring kernel from ``_prepare``:
+``rerandomize``, ``randomization_test``, both halves of a variance study,
+the independence study, calibration and ``rerand diagnose``.  The kernel
+holds the model matrix, the fitted covariance and the thresholds.  That
+state depends only on the covariates object, the design and the rule, so it
+is built once and reused by every later call on the same three, for as long
+as the covariates object lives.  Pure draws and calibration pass no rule and
+get the kernel with no thresholds for the covariates and design.  Reuse
+changes no output: a warm call gives the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .balance import (
     fit_covariance,
 )
 from .criteria import AcceptanceRule, ThresholdMode, resolve_thresholds
-from .design import DesignSpec, ModelMatrix, build_design_matrix, check_effects, expand_model_matrix
+from .design import DesignSpec, build_design_matrix, check_effects, expand_model_matrix
 from .errors import DimensionMismatch, MaxDrawsExceeded
 
 logger = logging.getLogger(__name__)
@@ -108,14 +111,19 @@ _kernels_lock = threading.Lock()
 
 
 def _prepare(
-    x: CovariateMatrix, spec: DesignSpec, rule: AcceptanceRule
-) -> tuple[ModelMatrix, sampling.BalanceKernel, dict[str, float]]:
-    """Model matrix, fitted kernel and thresholds for one covariates object, design and rule.
+    x: CovariateMatrix, spec: DesignSpec, rule: AcceptanceRule | None = None
+) -> sampling.BalanceKernel:
+    """The scoring kernel for one covariates object, design and rule.
+
+    The only way the package builds a kernel.  With no rule the kernel has
+    no thresholds, and its screen passes every draw: pure draws and
+    calibration use it.  Callers read the model matrix from ``kernel.mm``
+    and copy ``kernel.thresholds`` into their results.
 
     The kernel is built once and reused while ``x`` lives: ``x`` is
     immutable, ``spec`` and ``rule`` are frozen values, and the kernel is
     read-only apart from its per-thread scratch.  A call that raises stores
-    nothing.  Each call gets its own copy of the thresholds.
+    nothing.
     """
     key = (spec, rule)
     with _kernels_lock:
@@ -127,21 +135,26 @@ def _prepare(
                 _kernels[x] = {key: kernel}
             else:
                 entries[key] = kernel
-    return kernel.mm, kernel, kernel.thresholds.copy()
+    return kernel
 
 
-def _fit(x: CovariateMatrix, spec: DesignSpec, rule: AcceptanceRule) -> sampling.BalanceKernel:
+def _fit(
+    x: CovariateMatrix, spec: DesignSpec, rule: AcceptanceRule | None
+) -> sampling.BalanceKernel:
     if x.n != spec.n:
         raise DimensionMismatch(
             f"covariates have {x.n} rows but the design allocates {spec.n} units"
         )
-    if rule.p != x.p:
+    if rule is not None and rule.p != x.p:
         raise DimensionMismatch(
             f"acceptance rule expects {rule.p} covariates, covariate matrix has {x.p}"
         )
     mm = expand_model_matrix(build_design_matrix(spec))
-    check_effects(rule.monitored_effects, mm.effect_labels)
-    return sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
+    thresholds: dict[str, float] = {}
+    if rule is not None:
+        check_effects(rule.monitored_effects, mm.effect_labels)
+        thresholds = resolve_thresholds(rule)
+    return sampling.BalanceKernel(x, spec, mm, fit_covariance(x), thresholds)
 
 
 def rerandomize(
@@ -164,7 +177,7 @@ def rerandomize(
     if max_draws < 1:
         raise ValueError(f"max_draws must be positive, got {max_draws}")
     t0 = time.perf_counter()
-    mm, kernel, thresholds = _prepare(x, spec, rule)
+    kernel = _prepare(x, spec, rule)
     prob = kernel.prob
     if rule.mode is ThresholdMode.CHI_SQUARED:
         logger.info("implied acceptance probability %.6g", prob)
@@ -195,13 +208,13 @@ def rerandomize(
             "draws_attempted": draws_attempted,
         },
     )
-    w = expand_assignment(alloc, mm)
+    w = expand_assignment(alloc, kernel.mm)
     return RerandomizationResult(
         allocation=alloc,
         assignment=w,
         profile=balance_profile(x, w, rule.monitored_effects, cm=kernel.cm),
         rule=rule,
-        thresholds=thresholds,
+        thresholds=dict(kernel.thresholds),
         draws_attempted=draws_attempted,
         acceptance_probability=prob,
         elapsed_seconds=time.perf_counter() - t0,
@@ -330,7 +343,8 @@ def randomization_test(
     if n_draws < 100:
         raise ValueError(f"need at least 100 reference draws for stable p-values, got {n_draws}")
     spec = alloc_obs.spec
-    mm, kernel, _ = _prepare(x, spec, rule)
+    kernel = _prepare(x, spec, rule)
+    mm = kernel.mm
     y = np.ascontiguousarray(y_obs, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise DimensionMismatch(f"outcomes have shape {y.shape}, expected ({spec.n},)")

@@ -19,7 +19,8 @@ of one draw in ``ENGINE_BATCH``-row batches; tables use ``STUDY_BATCH``-row
 batches.  Pure randomization is the rejection sampler with a rule that
 accepts every draw: a kernel with no thresholds screens nothing, so every
 row it draws survives, and a pure draw comes in the same chunks as any other
-screen.
+screen.  That kernel is prepared like any other, by ``engine._prepare(x,
+spec)`` with no rule, and cached for the covariates and design.
 
 Every draw is at most ``MAX_CHUNK`` rows.  The cap is one constant,
 independent of ``workers``, of the demand and of the design size, so the
@@ -41,14 +42,13 @@ of one gather only; no value depends on it.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -199,10 +199,12 @@ class BalanceKernel:
     Thread-safe: the covariates, lookups and thresholds are read-only, and
     the only scratch is one sign buffer per thread (a ``threading.local``),
     which a gather overwrites and no result refers to.  So one kernel may
-    serve many calls and threads; the engine keeps one per covariates
-    object, design and rule.  It holds no reference to the covariates object
-    it was built from.  ``draw``, ``mean_diffs`` and the screens return
-    fresh arrays, valid across later calls on any thread.
+    serve many calls and threads.  ``engine._prepare`` builds every kernel
+    the package uses and keeps one per covariates object, design and rule;
+    pure draws and calibration use the one with no rule, whose thresholds
+    are empty.  A kernel holds no reference to the covariates object it was
+    built from.  ``draw``, ``mean_diffs`` and the screens return fresh
+    arrays, valid across later calls on any thread.
     """
 
     def __init__(
@@ -215,7 +217,6 @@ class BalanceKernel:
     ):
         if spec.n != x.n:
             raise DimensionMismatch(f"covariates have {x.n} rows for a design of {spec.n} units")
-        self.spec = spec
         self.mm = mm
         self.cm = cm
         self.n = spec.n
@@ -228,36 +229,13 @@ class BalanceKernel:
             arr.setflags(write=False)
         self._signs: dict[str, np.ndarray] = {}
         self._scratch = threading.local()
-        self._set_thresholds(thresholds)
-        self._unscreened: BalanceKernel | None = None
-
-    def _set_thresholds(self, thresholds: Mapping[str, float]) -> None:
         self.thresholds = MappingProxyType(dict(thresholds))
         # Screen the most selective effect first: survivors shrink fastest.
         self.screen_order = sorted(
-            self.thresholds, key=lambda lab: chi2_cdf(self.cm.p, self.thresholds[lab])
+            self.thresholds, key=lambda lab: chi2_cdf(cm.p, self.thresholds[lab])
         )
         # Implied acceptance probability: it sizes the screen's chunks.
-        self.prob = acceptance_probability(self.thresholds, self.cm.p)
-
-    def unscreened(self) -> BalanceKernel:
-        """This kernel with no thresholds: its screen passes every draw.
-
-        Built on first use and kept.  It shares the covariates, the sign
-        lookups and the per-thread sign buffers, which a thread uses for one
-        gather at a time, so a pure draw next to a screened one prepares
-        nothing again.
-        """
-        if not self.thresholds:
-            return self
-        pure = self._unscreened
-        if pure is None:
-            # Two threads may both get here; each builds an equal twin and
-            # either one serves.
-            pure = copy.copy(self)
-            pure._set_thresholds({})
-            self._unscreened = pure
-        return pure
+        self.prob = acceptance_probability(self.thresholds, cm.p)
 
     def sign_lookup(self, label: str) -> np.ndarray:
         """Signed value of one effect column per combination index (float64).

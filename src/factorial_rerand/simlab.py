@@ -16,16 +16,9 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import engine, sampling
-from .balance import CovariateMatrix, fit_covariance, squared_distance
+from .balance import CovariateMatrix, squared_distance
 from .criteria import AcceptanceRule, VarianceFactor, variance_factor
-from .design import (
-    DesignSpec,
-    ModelMatrix,
-    build_design_matrix,
-    check_effects,
-    effect_index,
-    expand_model_matrix,
-)
+from .design import DesignSpec, ModelMatrix, check_effects, effect_index
 from .errors import DimensionMismatch
 from .assignment import Allocation
 
@@ -349,7 +342,8 @@ def variance_study(
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
-    mm, kernel, thresholds = engine._prepare(x, spec, rule)
+    kernel = engine._prepare(x, spec, rule)
+    mm, thresholds = kernel.mm, dict(kernel.thresholds)
     labels = check_effects(mm.effect_labels if effects is None else effects, mm.effect_labels)
     rx = report_x if report_x is not None else x
     if rx.n != x.n:
@@ -376,9 +370,9 @@ def variance_study(
     s_acc, scanned = sampling.collect(
         kernel, batch_stats, seed, sampling.PURPOSE_STUDY_ACCEPTED, n_reps, max_draws, workers
     )
-    pure = kernel.unscreened()
     s_pure, _ = sampling.collect(
-        pure, batch_stats, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps, workers
+        engine._prepare(x, spec), batch_stats, seed, sampling.PURPOSE_STUDY_PURE, n_reps,
+        n_reps, workers,
     )
 
     d_pure, d_acc = s_pure[:, :, :n_cov], s_acc[:, :, :n_cov]
@@ -485,7 +479,8 @@ def independence_study(
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
-    mm, kernel, thresholds = engine._prepare(x, spec, rule)
+    kernel = engine._prepare(x, spec, rule)
+    thresholds = dict(kernel.thresholds)
     labels = rule.monitored_effects
     n_eff, p = len(labels), x.p
     a_vec = np.array([thresholds[lab] for lab in labels])
@@ -497,9 +492,9 @@ def independence_study(
     def scan(combos: np.ndarray) -> np.ndarray:
         return np.stack([kernel.mean_diffs(combos, lab, cols) for lab in labels], axis=1)
 
-    pure = kernel.unscreened()
     s_all, _ = sampling.collect(
-        pure, scan, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps, workers
+        engine._prepare(x, spec), scan, seed, sampling.PURPOSE_STUDY_PURE, n_reps, n_reps,
+        workers,
     )
     m_all = squared_distance(s_all[:, :, :p].reshape(-1, p), x.n).reshape(n_reps, n_eff)
     d_all = s_all[:, :, p:]
@@ -558,8 +553,9 @@ def calibrate_empirical_thresholds(
     """
     if n_draws < 2:
         raise ValueError(f"need at least 2 draws to calibrate, got {n_draws}")
-    mm = expand_model_matrix(build_design_matrix(spec))
-    labels = check_effects(effects, mm.effect_labels)
+    # Thresholds are what calibration estimates; the kernel has none.
+    kernel = engine._prepare(x, spec)
+    labels = check_effects(effects, kernel.mm.effect_labels)
     if isinstance(q, Mapping):
         missing = [lab for lab in labels if lab not in q]
         if missing:
@@ -570,8 +566,6 @@ def calibrate_empirical_thresholds(
     for lab, value in q_of.items():
         if not 0.0 < value <= 1.0:
             raise ValueError(f"quantile target for {lab!r} must be in (0, 1], got {value}")
-    # Thresholds are what calibration estimates; the kernel needs none.
-    kernel = sampling.BalanceKernel(x, spec, mm, fit_covariance(x), thresholds={})
     m_all, _ = sampling.collect(
         kernel, lambda combos: kernel.all_distances(combos, labels), seed,
         sampling.PURPOSE_CALIBRATE, n_draws, n_draws, workers,

@@ -8,6 +8,7 @@ the pinned values on every run.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import record_criterion
 from oracles import chi2_cdf_quadrature, variance_factor_quadrature
-from factorial_rerand import engine, simlab
+from factorial_rerand import engine, sampling, simlab
 from factorial_rerand.assignment import (
     Allocation,
     AssignmentMatrix,
@@ -191,6 +192,40 @@ def test_c3_variance_reduction_matches_prediction(study_all):
         f"theory {theory:.2f}pp, worst effect dev {worst_effect:.2f}pp, worst cell {worst_cell:.2f}pp",
     )
     assert ok
+
+
+def test_accepted_distances_follow_the_truncated_chi_squared():
+    """Each monitored M_f, given acceptance, passes a KS test against chi2_p truncated at a_f.
+
+    A sharper check of criterion 3's claim than the variance factor.  The
+    design, rule, draws, seeds and level were fixed before the first run.
+    At n=64 the finite-sample gap from chi-squared is large enough to show
+    in 2000 draws, so the design has 256 units.
+    """
+    spec = DesignSpec(k=3, r=32)
+    x = CovariateMatrix(
+        np.random.default_rng(2560).normal(size=(spec.n, 3)), names=("x1", "x2", "x3")
+    )
+    rule = AcceptanceRule(tiers=(Tier("all", DESK_EFFECTS, joint_prob=0.1),), p=3)
+    n_draws, level = 2000, 1e-3
+    kernel = engine._prepare(x, spec, rule)
+    m_all, _ = sampling.collect(
+        kernel, lambda rows: kernel.all_distances(rows, DESK_EFFECTS), 2561,
+        sampling.PURPOSE_STUDY_ACCEPTED, n_draws, 100 * n_draws, 1,
+    )
+    # Asymptotic Kolmogorov critical value, Bonferroni over the effects:
+    # P(sqrt(n) D > c) ~ 2 exp(-2 c^2).
+    alpha = level / len(DESK_EFFECTS)
+    critical = math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(n_draws)
+    upper = np.arange(1, n_draws + 1) / n_draws
+    lower = np.arange(n_draws) / n_draws
+    for j, lab in enumerate(DESK_EFFECTS):
+        a = kernel.thresholds[lab]
+        m = np.sort(m_all[:, j])
+        assert m[-1] <= a
+        cdf = np.array([chi2_cdf(3, float(v)) for v in m]) / chi2_cdf(3, a)
+        d = max(float(np.max(upper - cdf)), float(np.max(cdf - lower)))
+        assert d < critical, (lab, d, critical)
 
 
 # ---------------------------------------------------------------------------

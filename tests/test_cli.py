@@ -10,8 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from factorial_rerand import engine, fileio, sampling, simlab
-from factorial_rerand.balance import CovariateMatrix
+from factorial_rerand.assignment import Allocation, expand_assignment
+from factorial_rerand.balance import CovariateMatrix, balance_profile
 from factorial_rerand.cli import main
+from factorial_rerand.criteria import AcceptanceRule, Tier, accept
+from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 
 CONFIG = {
     "design": {"k": 2, "r": 8},
@@ -118,6 +121,27 @@ def test_diagnose_reports_pass(runner, workdir):
     assert "acceptance rule: PASS" in result.output
     header = (tmp_path / "report.csv").read_text().splitlines()[0]
     assert header == "effect,covariate,statistic,value"
+
+    # Units sorted by x1 take the combinations in order, so effect A splits
+    # the low half of x1 from the high half: the worst balance there is.
+    x = fileio.read_covariates(tmp_path / "cov.csv")
+    spec = DesignSpec(k=2, r=8)
+    combos = np.empty(spec.n, dtype=np.int64)
+    combos[np.argsort(x.entries[:, 0])] = np.repeat(np.arange(1, 5), spec.r)
+    fileio.write_allocation(tmp_path / "bad.csv", Allocation(spec=spec, combo_of_unit=combos))
+    rule = AcceptanceRule(tiers=(Tier("mains", ("A", "B"), joint_prob=0.25),), p=2)
+    mm = expand_model_matrix(build_design_matrix(spec))
+    for name, verdict in (("out/allocation.csv", "PASS"), ("bad.csv", "FAIL")):
+        path = tmp_path / name
+        result = runner.invoke(
+            main, ["diagnose", "--config", str(tmp_path / "run.json"), "--allocation", str(path)]
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        profile = balance_profile(x, expand_assignment(fileio.read_allocation(path), mm), ("A", "B"))
+        assert lines[-1] == f"acceptance rule: {verdict}"
+        assert lines[-1] == f"acceptance rule: {'PASS' if accept(profile, rule) else 'FAIL'}"
+    assert lines[2].split()[0] == "A" and lines[2].split()[-1] == "FAIL"
 
 
 def test_test_command_runs_and_writes_json(runner, workdir):
@@ -232,6 +256,17 @@ def allocated(runner, workdir):
     y = np.random.default_rng(9).normal(size=32)
     fileio.write_outcomes(tmp_path / "y.csv", y)
     return tmp_path, cfg
+
+
+def test_config_max_draws_bounds_every_screened_command(runner, allocated):
+    # 150 reference draws and 400 accepted study draws each need more than
+    # 40 candidates, whatever the rule.
+    tmp_path, cfg = allocated
+    cfg["max_draws"] = 40
+    _write_cfg(tmp_path, cfg)
+    for command in ("test", "simulate"):
+        result = runner.invoke(main, _command_args(command, tmp_path))
+        _assert_clean_exit(result, {6})
 
 
 def _command_args(command, tmp_path):

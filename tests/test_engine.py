@@ -307,7 +307,7 @@ def test_randomization_test_counts_reference_draws_that_split_like_the_observed(
         observed = rerandomize(x, spec, rule, seed=seed).allocation
         result = randomization_test(y, observed, x, rule, labels, n_draws=n_draws, seed=seed)
 
-        _, kernel, _ = engine._prepare(x, spec, rule)
+        kernel = engine._prepare(x, spec, rule)
         rows, _ = sampling.collect(
             kernel, lambda rows: rows, seed, sampling.PURPOSE_REFERENCE, n_draws,
             10 * engine.DEFAULT_MAX_DRAWS, 1,
@@ -385,17 +385,26 @@ def test_one_kernel_serves_every_call_on_the_same_inputs(small_problem, monkeypa
     randomization_test(y, result.allocation, x, rule, ("A",), n_draws=100, seed=4)
     simlab.variance_study(spec, x, rule, None, n_reps=50, seed=5)
     simlab.independence_study(spec, x, rule, n_reps=50, seed=6)
-    assert len(built) == 1
+    # Two kernels: the rule's, and the one with no thresholds that the pure
+    # draws of both studies use.
+    assert len(built) == 2
+    assert engine._prepare(x, spec, rule) is built[0]
+    assert engine._prepare(x, spec) is built[1]
+    # A second study and a calibration on the same inputs build none.
+    simlab.variance_study(spec, x, rule, None, n_reps=50, seed=7)
+    simlab.calibrate_empirical_thresholds(spec, x, ("A", "AB"), 0.5, n_draws=100, seed=8)
+    assert len(built) == 2
     # An equal but distinct covariates object is prepared on its own.
     other = _fresh(x)
     rerandomize(other, spec, rule, seed=3)
-    assert len(built) == 2
-    assert engine._prepare(x, spec, rule)[1] is built[0]
-    assert engine._prepare(other, spec, rule)[1] is built[1]
+    assert len(built) == 3
+    assert engine._prepare(x, spec, rule) is built[0]
+    assert engine._prepare(other, spec, rule) is built[2]
     # So are an equal-valued design and rule: they hash by value.
     assert engine._prepare(x, DesignSpec(k=2, r=8), AcceptanceRule(
-        tiers=(Tier("mains", ("A", "B"), joint_prob=0.25),), p=2))[1] is built[0]
-    assert len(built) == 2
+        tiers=(Tier("mains", ("A", "B"), joint_prob=0.25),), p=2)) is built[0]
+    assert engine._prepare(x, DesignSpec(k=2, r=8)) is built[1]
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -433,9 +442,9 @@ def test_results_own_their_thresholds(small_problem):
     assert later.draws_attempted == cold.draws_attempted
     report = simlab.variance_study(spec, x, rule, None, n_reps=20, seed=1)
     report.thresholds.clear()
-    assert engine._prepare(x, spec, rule)[2] == expected
+    assert dict(engine._prepare(x, spec, rule).thresholds) == expected
     with pytest.raises(TypeError):
-        engine._prepare(x, spec, rule)[1].thresholds["A"] = 0.0
+        engine._prepare(x, spec, rule).thresholds["A"] = 0.0
 
 
 def test_prepared_state_lives_as_long_as_the_covariates():
@@ -445,7 +454,7 @@ def test_prepared_state_lives_as_long_as_the_covariates():
     result = rerandomize(x, spec, rule, seed=1)
     gc.collect()  # drops what earlier tests left behind
     entries = len(engine._kernels)
-    kernel = weakref.ref(engine._prepare(x, spec, rule)[1])
+    kernel = weakref.ref(engine._prepare(x, spec, rule))
     owner = weakref.ref(x)
     del x
     gc.collect()

@@ -358,7 +358,7 @@ def test_threads_sharing_a_prepared_kernel_get_the_serial_results():
     seeds = (33, 36)
     serial = {s: engine.rerandomize(x, spec, rule, seed=s) for s in seeds}
     assert min(r.draws_attempted for r in serial.values()) > 2 * sampling.ENGINE_BATCH
-    kernel = engine._prepare(x, spec, rule)[1]
+    kernel = engine._prepare(x, spec, rule)
 
     def run(seed):
         result = engine.rerandomize(x, spec, rule, seed=seed)
@@ -368,7 +368,7 @@ def test_threads_sharing_a_prepared_kernel_get_the_serial_results():
                 and result.profile.distances == serial[seed].profile.distances)
 
     assert _mismatches_in_threads(run, seeds, 10) == []
-    assert engine._prepare(x, spec, rule)[1] is kernel
+    assert engine._prepare(x, spec, rule) is kernel
 
 
 def _mismatches_in_threads(check, cases, rounds):

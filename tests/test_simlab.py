@@ -211,7 +211,8 @@ def test_variance_study_estimates_match_the_scalar_path(desk):
     spec, x, rule, model = desk
     n_reps, seed = 300, 8
     report = simlab.variance_study(spec, x, rule, model, n_reps=n_reps, seed=seed)
-    mm, kernel, _ = engine._prepare(x, spec, rule)
+    kernel = engine._prepare(x, spec, rule)
+    mm = kernel.mm
     po = simlab.generate_potential_outcomes(
         model, x, mm, sampling.batch_rng(seed, sampling.PURPOSE_OUTCOMES, 0)
     )
