@@ -1,9 +1,11 @@
 """Rerandomization, effect estimation, and randomization inference.
 
-The rerandomizer is a rejection sampler: draw whole balanced allocations,
-score every monitored effect, keep the first draw that clears all
-thresholds.  No partial repair of rejected draws, so accepted allocations
-follow the uniform distribution conditioned on acceptance.  That holds only
+The rerandomizer is a rejection sampler: draw balanced allocations, score
+every monitored effect, keep the first draw that clears all thresholds.  A
+candidate is split into its allocation only as far as its effects need
+(see ``sampling``), which rejects exactly the candidates a score of the
+whole allocation would.  No partial repair of rejected draws, so accepted
+allocations follow the uniform distribution conditioned on acceptance.  That holds only
 if one rule decides acceptance, so the kernel's screen is the only judge:
 ``rerandomize`` is ``sampling.collect`` of one draw, and
 ``randomization_test`` vets the observed allocation with the same screen.
@@ -94,6 +96,7 @@ class RerandomizationResult:
             },
             "rule": {"mode": self.rule.mode.value, "p": self.rule.p, "tiers": tiers},
             "seed": self.seed,
+            "sampler": sampling.SAMPLER,
             "workers": self.workers,
             "draws_attempted": self.draws_attempted,
             "implied_acceptance_probability": self.acceptance_probability,
@@ -298,6 +301,7 @@ class RandomizationTestResult:
             "n_reference": self.n_reference,
             "draws_scanned": self.draws_scanned,
             "seed": self.seed,
+            "sampler": sampling.SAMPLER,
         }
 
 
@@ -349,7 +353,7 @@ def randomization_test(
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise DimensionMismatch(f"outcomes have shape {y.shape}, expected ({spec.n},)")
     labels = check_effects(effects, mm.effect_labels)
-    if kernel.surviving(alloc_obs.combo_of_unit[None, :]).size == 0:
+    if kernel.passing(alloc_obs.combo_of_unit[None, :]).size == 0:
         raise ValueError(
             "observed allocation fails the acceptance rule; the reference "
             "distribution would not contain it"

@@ -297,6 +297,7 @@ class StudyReport:
             "thresholds": self.thresholds,
             "n_reps": self.n_reps,
             "seed": self.seed,
+            "sampler": sampling.SAMPLER,
             "acceptance_rate": self.acceptance_rate,
             "draws_scanned": self.draws_scanned,
             "reduction_theory": self.reduction_theory,
@@ -451,6 +452,7 @@ class IndependenceReport:
             "thresholds": self.thresholds,
             "n_reps": self.n_reps,
             "seed": self.seed,
+            "sampler": sampling.SAMPLER,
             "marginal_rates": self.marginal_rates,
             "joint_rate": self.joint_rate,
             "rule_implied_joint": self.rule_implied_joint,

@@ -169,6 +169,26 @@ def test_test_command_runs_and_writes_json(runner, workdir):
     assert all(0.0 < v <= 1.0 for v in payload["p_values"].values())
 
 
+def test_every_output_names_the_sampler(runner, workdir):
+    # The candidate stream a seed maps to is recorded beside the seed in the
+    # manifest, the study report and the test JSON.
+    tmp_path, cfg = workdir
+    config = str(tmp_path / "run.json")
+    assert runner.invoke(main, ["allocate", "--config", config]).exit_code == 0
+    fileio.write_outcomes(tmp_path / "y.csv", np.random.default_rng(9).normal(size=32))
+    tested = runner.invoke(main, [
+        "test", "--config", config, "--allocation", str(tmp_path / "out" / "allocation.csv"),
+        "--outcomes", str(tmp_path / "y.csv"), "-o", str(tmp_path / "test.json"),
+    ])
+    assert tested.exit_code == 0, tested.output
+    cfg["simulation"]["n_reps"] = 50
+    _write_cfg(tmp_path, cfg)
+    assert runner.invoke(main, ["simulate", "--config", config]).exit_code == 0
+    for path in (tmp_path / "out" / "manifest.json", tmp_path / "test.json",
+                 tmp_path / "out" / "study" / "study.json"):
+        assert fileio.read_json(path)["sampler"] == sampling.SAMPLER, path
+
+
 def test_simulate_variance_study(runner, workdir):
     tmp_path, _ = workdir
     result = runner.invoke(main, ["simulate", "--config", str(tmp_path / "run.json")])

@@ -89,8 +89,8 @@ def test_rerandomize_winner_is_the_first_screen_survivor(small_problem):
                 for i in range(b + 1)
             ]
             assert all(kernel.surviving(c).size == 0 for c in drawn[:b])
-            combos = drawn[b]
-            alive = kernel.surviving(combos)
+            alive = kernel.surviving(drawn[b])
+            combos = kernel.allocations(drawn[b])
             for workers in (1, 4):
                 result = rerandomize(x, spec, rule_, seed=seed, workers=workers)
                 assert result.draws_attempted == b * batch + alive[0] + 1, seed

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import balanced_allocations, mahalanobis_direct
-from factorial_rerand import sampling
+from factorial_rerand import engine, sampling
 from factorial_rerand.balance import CovariateMatrix, fit_covariance
 from factorial_rerand.criteria import AcceptanceRule, Tier, chi2_cdf, resolve_thresholds
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
@@ -151,3 +151,65 @@ def test_rerandomize_winners_lie_in_the_exact_accepted_set_k3(exact3):
     for seed in range(100):
         winner = rerandomize(x, SPEC3, RULE3, seed=seed).allocation.combo_of_unit
         assert tuple(winner.tolist()) in accepted, seed
+
+
+@pytest.mark.parametrize(
+    "spec, per_allocation", [(SPEC, DRAWS_PER_ALLOCATION), (SPEC3, DRAWS_PER_ALLOCATION3)]
+)
+def test_pure_collect_draws_uniformly_from_every_balanced_allocation(spec, per_allocation):
+    # No screen guards a pure draw: only this oracle sees a biased split there.
+    x = CovariateMatrix(np.random.default_rng(8).normal(size=(spec.n, 2)), names=("x1", "x2"))
+    everything = set(balanced_allocations(spec.k, spec.r))
+    n = per_allocation * len(everything)
+    rows, scanned = sampling.collect(
+        engine._prepare(x, spec), lambda rows: rows, 5, sampling.PURPOSE_STUDY_PURE, n, n, 1
+    )
+    assert scanned == n
+    assert _uniform_on(everything, rows, per_allocation) > LEVEL
+
+
+def _few_keys(rng, rows, n):
+    """Keys from a range so small that most rows tie somewhere, many at a cell edge."""
+    return rng.integers(0, 10, size=(rows, n), dtype=np.uint32)
+
+
+def _edge_tie(keys, spec):
+    ranked = np.sort(keys)
+    edges = np.arange(1, spec.n_combinations) * spec.r
+    return bool(np.any(ranked[edges - 1] == ranked[edges]))
+
+
+def test_rows_that_tie_at_a_cell_edge_are_never_accepted(exact, monkeypatch):
+    x, mm, accepted = exact
+    monkeypatch.setattr(sampling, "random_keys", _few_keys)
+    kernel = sampling.BalanceKernel(x, SPEC, mm, fit_covariance(x), resolve_thresholds(RULE))
+    keys = kernel.draw(np.random.default_rng(4), 2000)
+    tied = [_edge_tie(row, SPEC) for row in keys]
+    assert 0.2 < np.mean(tied) < 0.9
+    alive = kernel.surviving(keys)
+    assert alive.size and not any(tied[i] for i in alive)
+    positions, rows = kernel.screen(np.random.default_rng(4), 2000, 2000, lambda rows: rows)
+    assert np.array_equal(positions, alive)
+    assert all(tuple(row) in accepted for row in rows.tolist())
+
+    # Accepted rows stay uniform on the accepted set, and pure rows on every
+    # balanced allocation; a pure draw replaces its tied rows, in order, so
+    # its chunks still give the rows of one whole draw.
+    n = DRAWS_PER_ALLOCATION * len(accepted)
+    rows, _ = sampling.collect(
+        kernel, lambda rows: rows, 1, sampling.PURPOSE_REFERENCE, n, 10 * n, 1
+    )
+    assert _uniform_on(accepted, rows, DRAWS_PER_ALLOCATION) > LEVEL
+    everything = set(balanced_allocations(SPEC.k, SPEC.r))
+    pure = engine._prepare(x, SPEC)
+    n = DRAWS_PER_ALLOCATION * len(everything)
+    rows, scanned = sampling.collect(
+        pure, lambda rows: rows, 2, sampling.PURPOSE_STUDY_PURE, n, n, 1
+    )
+    assert scanned == n
+    assert _uniform_on(everything, rows, DRAWS_PER_ALLOCATION) > LEVEL
+    monkeypatch.setattr(sampling, "MAX_CHUNK", 7)
+    chunked, _ = sampling.collect(
+        pure, lambda rows: rows, 2, sampling.PURPOSE_STUDY_PURE, 1000, 1000, 1
+    )
+    assert np.array_equal(chunked, rows[:1000])

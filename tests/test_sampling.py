@@ -25,7 +25,7 @@ from factorial_rerand.criteria import (
     implied_acceptance_probability,
     resolve_thresholds,
 )
-from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
+from factorial_rerand.design import DesignSpec, Order, build_design_matrix, expand_model_matrix
 from factorial_rerand.errors import SingularCovariance
 
 
@@ -103,7 +103,9 @@ def kernel_setup():
 
 def test_kernel_draw_rows_are_balanced(kernel_setup):
     spec, _, _, kernel, _, _ = kernel_setup
-    combos = kernel.draw(np.random.default_rng(0), 50)
+    keys = kernel.draw(np.random.default_rng(0), 50)
+    assert keys.shape == (50, 16) and keys.dtype.kind == "u" and keys.dtype.itemsize == 4
+    combos = kernel.allocations(keys)
     assert combos.shape == (50, 16)
     for row in combos:
         assert np.bincount(row, minlength=5)[1:].tolist() == [4, 4, 4, 4]
@@ -111,10 +113,12 @@ def test_kernel_draw_rows_are_balanced(kernel_setup):
 
 def test_kernel_matches_reference_path(kernel_setup):
     spec, mm, x, kernel, rule, thresholds = kernel_setup
-    combos = kernel.draw(np.random.default_rng(1), 32)
+    keys = kernel.draw(np.random.default_rng(1), 32)
+    combos = kernel.allocations(keys)
     effects = ("A", "B", "AB")
     m_block = kernel.all_distances(combos, effects)
-    survivors = kernel.surviving(combos)
+    survivors = kernel.surviving(keys)
+    assert np.array_equal(survivors, kernel.passing(combos))
     for i in range(32):
         alloc = Allocation(spec=spec, combo_of_unit=combos[i])
         w = expand_assignment(alloc, mm)
@@ -159,7 +163,9 @@ def test_every_scoring_route_gives_one_distance(k, r, p, scales, joint, seed):
     kernel = sampling.BalanceKernel(x, spec, mm, cm, resolve_thresholds(rule))
 
     limit = 24
-    combos = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit)
+    combos = kernel.allocations(
+        kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit)
+    )
     block = kernel.all_distances(combos, effects)
     accepted = []
     for i in range(limit):
@@ -181,6 +187,57 @@ def test_every_scoring_route_gives_one_distance(k, r, p, scales, joint, seed):
     rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
     positions, _ = kernel.screen(rng, limit, limit, lambda rows: rows)
     assert positions.tolist() == accepted
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    r=st.integers(1, 5),
+    p=st.integers(1, 3),
+    order=st.sampled_from(list(Order)),
+    reversed_names=st.booleans(),
+    kind=st.sampled_from(["all", "interactions", "skip_a_factor", "tier_per_effect"]),
+    skip=st.integers(0, 3),
+    joints=st.lists(st.floats(0.05, 0.95), min_size=15, max_size=15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_by_factor_screen_matches_the_screen_of_finished_allocations(
+    k, r, p, order, reversed_names, kind, skip, joints, seed
+):
+    names = tuple("ZYXW"[:k]) if reversed_names else None
+    spec = DesignSpec(k=k, r=r, order=order, factor_names=names)
+    assume(spec.n >= p + 2)
+    mm = expand_model_matrix(build_design_matrix(spec))
+    labels = mm.effect_labels
+    if kind == "interactions":
+        labels = tuple(lab for lab in labels if mm.interaction_order(lab) > 1)
+    elif kind == "skip_a_factor":
+        labels = tuple(lab for lab in labels if skip % k not in mm.factor_sets[mm.column_index(lab)])
+    assume(labels)
+    if kind == "tier_per_effect":
+        tiers = tuple(Tier(lab, (lab,), joint_prob=j) for lab, j in zip(labels, joints))
+    else:
+        tiers = (Tier("all", labels, joint_prob=joints[0]),)
+    x = CovariateMatrix(np.random.default_rng(seed).normal(size=(spec.n, p)),
+                        names=tuple(f"x{j}" for j in range(p)))
+    try:
+        cm = fit_covariance(x)
+    except SingularCovariance:
+        reject()
+    kernel = sampling.BalanceKernel(x, spec, mm, cm, resolve_thresholds(AcceptanceRule(tiers, p=p)))
+
+    keys = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), 96)
+    combos = kernel.allocations(keys)
+    for row in combos:
+        assert np.all(np.bincount(row, minlength=spec.n_combinations + 1)[1:] == r)
+    # Splitting only as far as each stage needs scores every effect on its
+    # final signs, in the blocks a screen of the finished rows uses.
+    alive = kernel.surviving(keys)
+    assert np.array_equal(alive, kernel.passing(combos))
+    rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
+    positions, rows = kernel.screen(rng, 96, 96, lambda rows: rows)
+    assert np.array_equal(positions, alive)
+    assert np.array_equal(rows, combos[alive])
 
 
 def test_kernel_screen_order_most_selective_first(kernel_setup):
@@ -223,7 +280,7 @@ def test_screen_matches_whole_batch_draw(k, r, joint, prob, limit, need, seed):
     # A prefix of the whole batch's survivors, stopping only once enough passed.
     assert positions.size >= min(need, alive.size)
     assert np.array_equal(positions, alive[: positions.size])
-    assert np.array_equal(rows, whole[positions])
+    assert np.array_equal(rows, kernel.allocations(whole)[positions])
 
 
 def test_kernel_prob_is_the_rules_implied_acceptance_probability(kernel_setup):
@@ -243,7 +300,7 @@ def test_pure_stream_draws_the_first_rows_of_each_batch(kernel_setup, monkeypatc
     whole = [
         kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32) for b in range(3)
     ]
-    assert np.array_equal(got, np.concatenate(whole)[:75])
+    assert np.array_equal(got, kernel.allocations(np.concatenate(whole))[:75])
     assert scanned == 75
 
 
@@ -254,9 +311,9 @@ def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
     whole = kernel.draw(sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0), limit)
     alive = kernel.surviving(whole)
     batch, n = 2 * cap + 10, 3 * cap
-    pure = np.concatenate([
+    pure = kernel.allocations(np.concatenate([
         kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_CALIBRATE, b), batch) for b in range(2)
-    ])[:n]
+    ])[:n])
     sizes = []
     draw = sampling.BalanceKernel.draw
 
@@ -275,7 +332,7 @@ def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
     positions, rows = kernel.screen(rng, limit, limit, score)
     assert sizes == [cap, cap, cap, 37]
     assert np.array_equal(positions, alive)
-    assert np.array_equal(rows, whole[alive])
+    assert np.array_equal(rows, kernel.allocations(whole[alive]))
     # Survivors are scored once they fill a chunk, and at the end.
     assert sum(scored) == alive.size and all(s >= cap for s in scored[:-1])
 
@@ -312,8 +369,26 @@ def paper_kernel():
     return sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
 
 
+def test_long_rows_draw_fewer_rows_per_chunk(paper_kernel, monkeypatch):
+    # 1376 keys a row: a chunk holds at most CHUNK_KEYS keys.
+    most = sampling.CHUNK_KEYS // paper_kernel.n
+    assert sampling.MIN_CHUNK < most < sampling.MAX_CHUNK
+    sizes = []
+    draw = sampling.BalanceKernel.draw
+
+    def recording_draw(self, rng, size):
+        sizes.append(size)
+        return draw(self, rng, size)
+
+    monkeypatch.setattr(sampling.BalanceKernel, "draw", recording_draw)
+    paper_kernel.screen(np.random.default_rng(3), 3 * most + 5, 10, lambda rows: rows)
+    assert sizes == [most, most, most, 5]
+
+
 def test_mean_diffs_gathers_into_the_threads_sign_buffer(paper_kernel):
-    combos = paper_kernel.draw(np.random.default_rng(0), sampling.MAX_CHUNK)
+    combos = paper_kernel.allocations(
+        paper_kernel.draw(np.random.default_rng(0), sampling.MAX_CHUNK)
+    )
     block = combos.shape[0] * combos.shape[1] * np.dtype(np.float64).itemsize
     paper_kernel.mean_diffs(combos, "A", paper_kernel.white)  # sizes the buffer
     tracemalloc.start()
@@ -326,22 +401,24 @@ def test_mean_diffs_gathers_into_the_threads_sign_buffer(paper_kernel):
 
 
 def test_threads_scoring_one_kernel_get_the_serial_results(paper_kernel):
-    # More threads than cores, on blocks of different sizes, so a buffer
-    # shared between threads would be overwritten mid-score and regrown.
+    # More threads than cores, on blocks of different sizes, so a sign
+    # buffer or key buffer shared between threads would be overwritten
+    # mid-score and regrown.
     blocks = [paper_kernel.draw(np.random.default_rng(s), rows)
               for s, rows in enumerate((8, 64, 64, 200))]
+    combos = [paper_kernel.allocations(b) for b in blocks]
     serial = [
-        ([paper_kernel.mean_diffs(c, lab) for lab in ("A", "AB")], paper_kernel.surviving(c))
-        for c in blocks
+        ([paper_kernel.mean_diffs(c, lab) for lab in ("A", "AB")], paper_kernel.surviving(b))
+        for b, c in zip(blocks, combos)
     ]
     # A result is the caller's own: a later gather leaves it unchanged.
-    first = paper_kernel.mean_diffs(blocks[0], "A")
+    first = paper_kernel.mean_diffs(combos[0], "A")
     kept = first.copy()
-    paper_kernel.mean_diffs(blocks[1], "A")
+    paper_kernel.mean_diffs(combos[1], "A")
     assert np.array_equal(first, kept)
 
     def score(i):
-        diffs = [paper_kernel.mean_diffs(blocks[i], lab) for lab in ("A", "AB")]
+        diffs = [paper_kernel.mean_diffs(combos[i], lab) for lab in ("A", "AB")]
         alive = paper_kernel.surviving(blocks[i])
         return (all(np.array_equal(d, s) for d, s in zip(diffs, serial[i][0]))
                 and np.array_equal(alive, serial[i][1]))
@@ -355,7 +432,7 @@ def test_threads_sharing_a_prepared_kernel_get_the_serial_results():
     spec = DesignSpec(k=3, r=8)
     x = CovariateMatrix(np.random.default_rng(17).normal(size=(spec.n, 3)), names=("a", "b", "c"))
     rule = AcceptanceRule(tiers=(Tier("mains", ("A", "B", "C"), joint_prob=0.005),), p=3)
-    seeds = (33, 36)
+    seeds = (34, 36)
     serial = {s: engine.rerandomize(x, spec, rule, seed=s) for s in seeds}
     assert min(r.draws_attempted for r in serial.values()) > 2 * sampling.ENGINE_BATCH
     kernel = engine._prepare(x, spec, rule)
