@@ -4,6 +4,17 @@ CSV for tabular data (covariates, allocations, outcomes, reports), JSON for
 structured records (manifests, thresholds, study summaries).  Readers
 validate aggressively and raise ParseError with row and column context;
 writers emit full-precision floats so a write/read round trip is exact.
+
+Tables are converted a column at a time: one ``map(int, ...)`` or
+``map(float, ...)`` over each column's cells, so a cell is parsed by exactly
+the tokens ``int()`` and ``float()`` accept, and the checks (row widths,
+finite values, combination range, factor levels, unit ids) run over whole
+columns.  Only when a check fails is the table read again cell by cell, in
+row order and then column order, to raise the error for the first bad cell;
+so a bad number in row 3 is reported before a short row 5.  Writers put the
+header through ``csv.writer``, which quotes names that need it, and each
+body row through one join of ``repr``s: exactly the bytes ``csv.writer``
+writes for the same row.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +31,11 @@ from .assignment import Allocation
 from .balance import BalanceProfile, CovariateMatrix
 from .design import DesignSpec, Order, build_design_matrix
 from .errors import ParseError
+
+# A column of a table: its name, the type its cells convert to (``int`` or
+# ``float``), and for a bounded integer column the largest value allowed
+# (the smallest is 1).
+_Column = tuple[str, type, int | None]
 
 
 def _rows_of(path: Path) -> list[list[str]]:
@@ -58,11 +74,51 @@ def _parse_int(token: str, path: Path, row: int, col: str) -> int:
         ) from None
 
 
-def _check_width(row: Sequence[str], width: int, path: Path, idx: int) -> None:
-    if len(row) != width:
-        raise ParseError(
-            f"{path}: row {idx} has {len(row)} fields, expected {width}"
-        )
+def _columns(path: Path, body: list[list[str]], columns: Sequence[_Column]) -> list[list]:
+    """The cells of ``body`` converted column by column, one list per column.
+
+    Every row must have one field per column, every float must be finite,
+    and a bounded column must lie in 1..its bound.  When that holds, each
+    column is one ``map`` over its cells.  Otherwise ``_cell_by_cell`` finds
+    the first bad cell.
+    """
+    if {*map(len, body)} <= {len(columns)}:
+        try:
+            converted = [list(map(kind, col)) for (_, kind, _), col in zip(columns, zip(*body))]
+        except ValueError:
+            pass
+        else:
+            # An empty body has no columns to check.
+            if len(converted) == len(columns) and all(map(_passes, columns, converted)):
+                return converted
+    return _cell_by_cell(path, body, columns)
+
+
+def _passes(column: _Column, values: list) -> bool:
+    """Whether a converted column passes its checks: floats finite, bounded ints within 1..top."""
+    _, kind, top = column
+    if kind is float:
+        return all(map(math.isfinite, values))
+    return top is None or (min(values) >= 1 and max(values) <= top)
+
+
+def _cell_by_cell(path: Path, body: list[list[str]], columns: Sequence[_Column]) -> list[list]:
+    """``_columns``, one cell at a time: raises the ParseError of the first bad cell.
+
+    Rows are read in order.  In each, the width is checked, then each cell
+    is parsed in column order, then the bounded columns are checked.
+    """
+    converted: list[list] = [[] for _ in columns]
+    for i, row in enumerate(body):
+        if len(row) != len(columns):
+            raise ParseError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(columns)}")
+        for (name, kind, _), token, values in zip(columns, row, converted):
+            parse = _parse_int if kind is int else _parse_float
+            values.append(parse(token, path, i + 2, name))
+        for (name, _, top), values in zip(columns, converted):
+            if top is not None and not 1 <= values[-1] <= top:
+                raise ParseError(f"{path}: row {i + 2}: {name} {values[-1]} outside 1..{top}")
+    return converted
 
 
 def _order_by_unit(
@@ -96,18 +152,11 @@ def read_covariates(path: str | Path) -> CovariateMatrix:
     body = rows[1:]
     if not body:
         raise ParseError(f"{path}: no data rows")
-    ids: list[int] = []
-    values = np.empty((len(body), len(names)))
-    for i, row in enumerate(body):
-        _check_width(row, len(header), path, i + 2)
-        offset = 0
-        if has_ids:
-            ids.append(_parse_int(row[0], path, i + 2, "unit_id"))
-            offset = 1
-        for j, name in enumerate(names):
-            values[i, j] = _parse_float(row[j + offset], path, i + 2, name)
+    columns = [("unit_id", int, None)] * has_ids + [(name, float, None) for name in names]
+    converted = _columns(path, body, columns)
+    values = np.array(converted[has_ids:], dtype=np.float64).T
     if has_ids:
-        values = values[_order_by_unit(ids, path)]
+        values = values[_order_by_unit(converted[0], path)]
     return CovariateMatrix(entries=values, names=tuple(names))
 
 
@@ -119,23 +168,23 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def write_covariates(path: str | Path, x: CovariateMatrix) -> None:
+def _write_table(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
+    """A CSV table of ints and floats, as ``csv.writer`` writes it with ``repr`` of each cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(x.names)
-        for row in x.entries:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(header)
+        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+
+
+def write_covariates(path: str | Path, x: CovariateMatrix) -> None:
+    _write_table(path, x.names, x.entries.tolist())
 
 
 def write_allocation(path: str | Path, alloc: Allocation) -> None:
     """Persist an allocation: unit_id, combination index, and factor signs."""
     dm = build_design_matrix(alloc.spec)
     signs = dm.entries[alloc.combo_of_unit - 1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "combination", *alloc.spec.factor_names])
-        for i in range(alloc.n):
-            writer.writerow([i + 1, int(alloc.combo_of_unit[i]), *map(int, signs[i])])
+    table = np.column_stack((np.arange(1, alloc.n + 1), alloc.combo_of_unit, signs))
+    _write_table(path, ["unit_id", "combination", *alloc.spec.factor_names], table.tolist())
 
 
 def read_allocation(path: str | Path, spec: DesignSpec | None = None) -> Allocation:
@@ -176,25 +225,15 @@ def read_allocation(path: str | Path, spec: DesignSpec | None = None) -> Allocat
         if n != spec.n:
             raise ParseError(f"{path}: {n} rows, design allocates {spec.n} units")
 
-    ids: list[int] = []
-    combos = np.empty(n, dtype=np.int32)
-    signs = np.empty((n, k), dtype=np.int64)
-    for i, row in enumerate(body):
-        _check_width(row, k + 2, path, i + 2)
-        ids.append(_parse_int(row[0], path, i + 2, "unit_id"))
-        combos[i] = _parse_int(row[1], path, i + 2, "combination")
-        for j, name in enumerate(factor_names):
-            signs[i, j] = _parse_int(row[j + 2], path, i + 2, name)
-        if combos[i] < 1 or combos[i] > (1 << k):
-            raise ParseError(
-                f"{path}: row {i + 2}: combination {combos[i]} outside 1..{1 << k}"
-            )
-    if np.any(np.abs(signs) != 1):
-        bad = int(np.argwhere(np.abs(signs) != 1)[0][0])
+    columns = [("unit_id", int, None), ("combination", int, 1 << k)]
+    converted = _columns(path, body, columns + [(name, int, None) for name in factor_names])
+    levels = converted[2:]
+    if not all({*col} <= {-1, 1} for col in levels):
+        bad = next(i for i, row in enumerate(zip(*levels)) if not {*row} <= {-1, 1})
         raise ParseError(f"{path}: row {bad + 2}: factor levels must be +1 or -1")
-    order_rows = _order_by_unit(ids, path)
-    combos = combos[order_rows]
-    signs = signs[order_rows]
+    order_rows = _order_by_unit(converted[0], path)
+    combos = np.array(converted[1], dtype=np.int32)[order_rows]
+    signs = np.array(levels, dtype=np.int64).T[order_rows]
 
     candidates = (
         (spec,)
@@ -224,21 +263,13 @@ def read_outcomes(path: str | Path, n: int | None = None) -> np.ndarray:
     body = rows[1:]
     if n is not None and len(body) != n:
         raise ParseError(f"{path}: {len(body)} outcome rows, expected {n}")
-    ids: list[int] = []
-    y = np.empty(len(body))
-    for i, row in enumerate(body):
-        _check_width(row, 2, path, i + 2)
-        ids.append(_parse_int(row[0], path, i + 2, "unit_id"))
-        y[i] = _parse_float(row[1], path, i + 2, "outcome")
-    return y[_order_by_unit(ids, path)]
+    ids, y = _columns(path, body, [("unit_id", int, None), ("outcome", float, None)])
+    return np.array(y, dtype=np.float64)[_order_by_unit(ids, path)]
 
 
 def write_outcomes(path: str | Path, y: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "outcome"])
-        for i, value in enumerate(np.asarray(y, dtype=np.float64)):
-            writer.writerow([i + 1, repr(float(value))])
+    values = np.asarray(y, dtype=np.float64).tolist()
+    _write_table(path, ["unit_id", "outcome"], enumerate(values, 1))
 
 
 def write_balance_report(path: str | Path, profile: BalanceProfile) -> None:
@@ -246,8 +277,11 @@ def write_balance_report(path: str | Path, profile: BalanceProfile) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["effect", "covariate", "statistic", "value"])
-        for effect, covariate, statistic, value in profile.rows():
-            writer.writerow([effect, covariate, statistic, repr(float(value))])
+        # Covariate names may need quoting, so the rows go through the writer.
+        writer.writerows(
+            (effect, covariate, statistic, repr(float(value)))
+            for effect, covariate, statistic, value in profile.rows()
+        )
 
 
 def _jsonable(obj: Any) -> Any:

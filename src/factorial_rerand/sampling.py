@@ -84,6 +84,7 @@ only; no result refers to them.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
@@ -161,9 +162,10 @@ def ordered_parallel_map(
 
     Results come back in input order no matter how threads are scheduled, so
     reductions over the stream are deterministic.  The input iterable may be
-    infinite; the consumer breaks out when done.  Every sampling stream runs
-    through here, so this is where ``workers`` is checked, before any thread
-    starts.
+    infinite; the consumer breaks out when done.  Closing the generator
+    cancels the tasks still queued and waits for the running ones, so no
+    thread outlives it.  Every sampling stream runs through here, so this is
+    where ``workers`` is checked, before any thread starts.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -174,10 +176,9 @@ def ordered_parallel_map(
             yield fn(item)
         return
     it = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window: deque = deque()
-        for item in itertools.islice(it, workers):
-            window.append(pool.submit(fn, item))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        window = deque(pool.submit(fn, item) for item in itertools.islice(it, workers))
         while window:
             fut = window.popleft()
             try:
@@ -187,6 +188,8 @@ def ordered_parallel_map(
             else:
                 window.append(pool.submit(fn, nxt))
             yield fut.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def collect(
@@ -210,37 +213,45 @@ def collect(
     The candidates scanned run up to and including the last accepted one.
     Raises MaxDrawsExceeded when the budget runs out first.
 
-    Each batch's screen stops at the whole demand ``n``, which bounds what
-    any batch must supply.  The demand still open when a batch starts would
-    be tighter, but it depends on how many batches ran ahead in parallel; a
-    fixed bound keeps the rows each batch draws, and so the blocks its
-    statistics are computed on, the same for any ``workers`` (a BLAS result
-    can round differently with the block's row count).
+    Each batch sizes its chunks from the whole demand ``n``, never from how
+    far other batches got, so the rows each chunk draws, and the blocks the
+    screen scores, are the same for any ``workers`` (a BLAS product can
+    round differently with its block's row count).  Once the call has its
+    ``n`` draws, queued batches are cancelled and running ones end at their
+    next chunk.
     """
     if batch is None:
         batch = STUDY_BATCH
+    collected = 0
+
+    def done() -> bool:
+        return collected == n
 
     def run(b: int) -> tuple[np.ndarray, np.ndarray]:
         positions, scores = kernel.screen(
-            batch_rng(seed, purpose, b), min(batch, max_draws - b * batch), n, score
+            batch_rng(seed, purpose, b), min(batch, max_draws - b * batch), n, score, done
         )
         return b * batch + positions, scores
 
     # Filled in place: a list of parts and its concatenation would hold the
     # table twice, and fault its pages in again on every call.
     table = None
-    collected = scanned = 0
-    for indices, scores in ordered_parallel_map(run, range(-(-max_draws // batch)), workers):
-        indices = indices[: n - collected]
-        if indices.size == 0:
-            continue
-        if table is None:
-            table = np.empty((n,) + scores.shape[1:], dtype=scores.dtype)
-        table[collected : collected + indices.size] = scores[: indices.size]
-        collected += indices.size
-        scanned = int(indices[-1]) + 1
-        if collected == n:
-            return table, scanned
+    scanned = 0
+    # Closed on the way out, so no batch runs on after the call returns.
+    with contextlib.closing(
+        ordered_parallel_map(run, range(-(-max_draws // batch)), workers)
+    ) as results:
+        for indices, scores in results:
+            indices = indices[: n - collected]
+            if indices.size == 0:
+                continue
+            if table is None:
+                table = np.empty((n,) + scores.shape[1:], dtype=scores.dtype)
+            table[collected : collected + indices.size] = scores[: indices.size]
+            collected += indices.size
+            scanned = int(indices[-1]) + 1
+            if collected == n:
+                return table, scanned
     raise MaxDrawsExceeded(
         f"collected {collected} of {n} accepted draws within {max_draws} candidates"
     )
@@ -516,22 +527,25 @@ class BalanceKernel:
         limit: int,
         need: int,
         score: Callable[[np.ndarray], np.ndarray],
+        done: Callable[[], bool] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Positions (ascending) and scores of survivors among a batch's first ``limit`` rows.
 
         Rows come from ``rng`` in chunks sized to the survivors still missing
         at the implied acceptance probability ``self.prob``, never more than
         the chunk cap (``MAX_CHUNK`` rows, fewer for long rows), and drawing
-        stops once ``need`` have passed.  The survivors are a prefix of those
-        of the whole ``limit``-row batch.
+        stops once ``need`` have passed, or before any chunk once ``done()``
+        is true.  The survivors are a prefix of those of the whole
+        ``limit``-row batch.
 
         ``score(rows)`` runs on the survivors gathered since its last call,
         once they fill a chunk and once more at the end, and the
         scores come back concatenated in row order.  So a screen with no
         thresholds scores each chunk on its own, and a selective one scores
         its survivors in few calls, in blocks that depend only on the batch.
+        A screen with no survivors scores one empty block.
         """
-        positions, rows, scores = [], [], []
+        positions, rows, scores = [np.empty(0, dtype=np.intp)], [], []
         drawn = found = 0
         most = min(MAX_CHUNK, max(MIN_CHUNK, CHUNK_KEYS // self.n))
 
@@ -542,6 +556,8 @@ class BalanceKernel:
             rows.clear()
 
         while drawn < limit and found < need:
+            if done is not None and done():
+                break
             size = min(limit - drawn, most)
             want = (need - found) * CHUNK_HEADROOM / self.prob if self.prob > 0 else math.inf
             if want < size:
@@ -551,9 +567,10 @@ class BalanceKernel:
                 alive = self.surviving(keys)
                 # Rows ``surviving`` finished for this very result, if any.
                 finished = self._scratch.__dict__.pop("finished", None)
-                if finished is None or finished[0] is not alive:
-                    finished = (alive, self.allocations(keys[alive]))
-                rows.append(finished[1])
+                if alive.size:
+                    if finished is None or finished[0] is not alive:
+                        finished = (alive, self.allocations(keys[alive]))
+                    rows.append(finished[1])
             else:
                 # With no thresholds every candidate passes: a tied row is
                 # replaced, not rejected, so a pure draw scans what it asks for.
@@ -568,6 +585,9 @@ class BalanceKernel:
             found += alive.size
             if sum(map(len, rows)) >= most:
                 flush()
+        if not rows and not scores:
+            # No survivor: one empty block gives the scores their shape.
+            rows.append(np.empty((0, self.n), dtype=np.intp))
         if rows:
             flush()
         return np.concatenate(positions), np.concatenate(scores)

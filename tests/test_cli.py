@@ -357,6 +357,19 @@ def test_malformed_input_exits_3_without_traceback(runner, allocated, command, p
     _assert_clean_exit(result, {3})
 
 
+@pytest.mark.parametrize("column, value", [(1, "99999999999"), (2, str(10**30))])
+def test_allocation_values_beyond_machine_integers_exit_3(runner, allocated, column, value):
+    tmp_path, _ = allocated
+    path = tmp_path / "out" / "allocation.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[column] = value
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("diagnose", "test"):
+        _assert_clean_exit(runner.invoke(main, _command_args(command, tmp_path)), {3})
+
+
 def _forbid_drawing(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("drawing started before the output path was checked")

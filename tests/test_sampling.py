@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -470,3 +471,95 @@ def _mismatches_in_threads(check, cases, rounds):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     return mismatches
+
+
+def test_closing_the_map_after_one_result_starts_at_most_workers_more_items():
+    for workers in (2, 4):
+        started = []
+
+        def slow(i):
+            started.append(i)
+            time.sleep(0.02)
+            return i
+
+        threads = threading.active_count()
+        results = sampling.ordered_parallel_map(slow, itertools.count(), workers)
+        assert next(results) == 0
+        results.close()
+        assert len(started) - 1 <= workers
+        assert threading.active_count() == threads
+
+
+def _reference_scan(kernel, seed, n, workers):
+    """A paper-scale reference scan: each draw's effect estimates on fixed outcomes."""
+    y = np.random.default_rng(5).normal(size=kernel.n)
+    lookups = [kernel.sign_lookup(lab) for lab in ("A", "B", "AB")]
+
+    def statistics(rows):
+        return np.column_stack([np.einsum("bn,n->b", s[rows], y) for s in lookups])
+
+    return sampling.collect(kernel, statistics, seed, sampling.PURPOSE_REFERENCE, n,
+                            50 * sampling.STUDY_BATCH, workers)
+
+
+def test_collect_stops_drawing_once_the_call_has_its_draws(paper_kernel, monkeypatch):
+    # Twenty draws at joint acceptance 0.001 span three 4096-row batches.
+    # The results are the same for any ``workers``; a serial call draws no
+    # batch past the completing one; with a pool, at most one chunk per
+    # worker is drawn once the call has its draws, and no thread is left.
+    most = sampling.CHUNK_KEYS // paper_kernel.n
+    drawn = []
+    draw = sampling.BalanceKernel.draw
+
+    def counting_draw(self, rng, size):
+        drawn.append(size)
+        return draw(self, rng, size)
+
+    at_close = []
+    parallel_map = sampling.ordered_parallel_map
+
+    def marking_map(fn, items, workers):
+        # Not ``yield from``: closing that would close the pool's generator,
+        # and wait for its batches, before this ``finally`` counts the rows.
+        results = parallel_map(fn, items, workers)
+        try:
+            for result in results:
+                yield result
+        finally:
+            at_close.append(sum(drawn))
+            results.close()
+
+    monkeypatch.setattr(sampling.BalanceKernel, "draw", counting_draw)
+    monkeypatch.setattr(sampling, "ordered_parallel_map", marking_map)
+    threads = threading.active_count()
+    serial, scanned = _reference_scan(paper_kernel, 8, 20, 1)
+    assert scanned > 2 * sampling.STUDY_BATCH
+    assert sum(drawn) == -(-scanned // sampling.STUDY_BATCH) * sampling.STUDY_BATCH
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4):
+            drawn.clear()
+            at_close.clear()
+            table, scanned_w = _reference_scan(paper_kernel, 8, 20, workers)
+            assert np.array_equal(table, serial) and scanned_w == scanned
+            assert sum(drawn) - at_close[0] <= workers * most
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_chunk_without_survivors_is_not_finished(paper_kernel, monkeypatch):
+    finished = []
+    finish = sampling.BalanceKernel._finish
+
+    def recording_finish(self, keys):
+        finished.append(keys.shape[0])
+        return finish(self, keys)
+
+    monkeypatch.setattr(sampling.BalanceKernel, "_finish", recording_finish)
+    positions, rows = paper_kernel.screen(
+        np.random.default_rng(2), 4 * sampling.MIN_CHUNK, 1, lambda rows: rows
+    )
+    assert positions.size == 0 and rows.shape == (0, paper_kernel.n)
+    assert 0 not in finished
