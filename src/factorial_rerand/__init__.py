@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .assignment import (
     Allocation,
     AssignmentMatrix,
-    combination_multiset,
     expand_assignment,
     negate,
-    random_allocation,
 )
 from .balance import (
     BalanceProfile,
@@ -23,8 +21,6 @@ from .balance import (
     CovariateMatrix,
     balance_profile,
     fit_covariance,
-    mahalanobis,
-    mean_difference,
 )
 from .criteria import (
     AcceptanceRule,
@@ -83,17 +79,13 @@ __all__ = [
     "__version__",
     "Allocation",
     "AssignmentMatrix",
-    "combination_multiset",
     "expand_assignment",
     "negate",
-    "random_allocation",
     "BalanceProfile",
     "CovarianceModel",
     "CovariateMatrix",
     "balance_profile",
     "fit_covariance",
-    "mahalanobis",
-    "mean_difference",
     "AcceptanceRule",
     "ThresholdMode",
     "Tier",

@@ -16,7 +16,10 @@ class Allocation:
     """Assignment of n = r * 2^K units to combinations, each used exactly r times.
 
     ``combo_of_unit[i]`` is the 1-based combination index of unit i, in the
-    row order of the design matrix the allocation was drawn against.
+    row order of the design matrix the allocation was drawn against.  The
+    indices must be integers in [1, 2^K], given as an integer array or a
+    sequence of ints: floats, strings and bools are refused, never rounded or
+    parsed, and the range is checked before the indices are stored as int32.
     """
 
     spec: DesignSpec
@@ -24,15 +27,23 @@ class Allocation:
     seed_info: dict[str, Any] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        # A private copy, so that the caller's array stays theirs to change.
-        combos = np.array(self.combo_of_unit, dtype=np.int32, order="C")
+        given = self.combo_of_unit
+        combos = np.asarray(given)
         if combos.ndim != 1 or combos.shape[0] != self.spec.n:
             raise DimensionMismatch(
                 f"allocation must assign all {self.spec.n} units, got shape {combos.shape}"
             )
         m = self.spec.n_combinations
-        if combos.min(initial=1) < 1 or combos.max(initial=m) > m:
-            raise ValueError(f"combination indices must lie in [1, {m}]")
+        # A sequence that mixes bools with ints converts to an integer array,
+        # so its items are checked too.
+        integral = combos.dtype.kind in "iu" and (
+            isinstance(given, np.ndarray)
+            or not any(isinstance(v, (bool, np.bool_)) for v in given)
+        )
+        if not integral or combos.min(initial=1) < 1 or combos.max(initial=m) > m:
+            raise ValueError(f"combination indices must be integers in [1, {m}]")
+        # A private copy, so that the caller's array stays theirs to change.
+        combos = combos.astype(np.int32)
         counts = np.bincount(combos, minlength=m + 1)[1:]
         if not np.all(counts == self.spec.r):
             off = int(np.argmax(counts != self.spec.r)) + 1
@@ -46,30 +57,6 @@ class Allocation:
     @property
     def n(self) -> int:
         return self.spec.n
-
-
-def combination_multiset(spec: DesignSpec) -> np.ndarray:
-    """The fixed multiset of combination indices: each j repeated r times.
-
-    Built as ``np.intp``: numpy shuffles 8-byte items on a fast path (about
-    1.5x faster per row than 4-byte items, with identical rows), and gathers
-    indexed by ``intp`` need no internal cast.
-    """
-    return np.repeat(np.arange(1, spec.n_combinations + 1, dtype=np.intp), spec.r)
-
-
-def random_allocation(
-    spec: DesignSpec,
-    rng: np.random.Generator,
-    seed_info: dict[str, Any] | None = None,
-) -> Allocation:
-    """Draw uniformly from all balanced allocations.
-
-    A Fisher-Yates shuffle of the fixed multiset (each combination index
-    repeated r times) gives every balanced allocation equal probability.
-    """
-    combos = rng.permutation(combination_multiset(spec))
-    return Allocation(spec=spec, combo_of_unit=combos, seed_info=seed_info)
 
 
 @dataclass(frozen=True, eq=False)

@@ -157,28 +157,6 @@ def squared_distance(white_diffs: np.ndarray, n: int) -> np.ndarray:
     return (n / 4.0) * np.einsum("ij,ij->i", white_diffs, white_diffs)
 
 
-def mean_difference(x: CovariateMatrix, w: AssignmentMatrix, effect: str | int) -> np.ndarray:
-    """Covariate mean difference between the +1 and -1 groups of one effect.
-
-    Equals (2/n) X^T w_f because each group has exactly n/2 units.  The mean
-    column is rejected: it has no group split.
-    """
-    label = _effect_label(w, effect)
-    if x.n != w.n:
-        raise DimensionMismatch(f"covariates have {x.n} rows but assignment has {w.n}")
-    return mean_diff_block(w.column(label)[None, :], x.centered())[0]
-
-
-def mahalanobis(cm: CovarianceModel, d: np.ndarray, n: int) -> float:
-    """Squared Mahalanobis length (n/4) d' cov^{-1} d of a mean-difference vector."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (cm.p,):
-        raise DimensionMismatch(f"mean difference has shape {d.shape}, expected ({cm.p},)")
-    if n < 2:
-        raise ValueError("need at least two units")
-    return float(squared_distance(cm.whiten(d[None, :]), n)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class BalanceProfile:
     """Per-effect balance summary of one allocation: d vectors and M distances."""
@@ -223,7 +201,10 @@ def balance_profile(
 ) -> BalanceProfile:
     """Score one allocation on a set of effects.
 
-    The covariance model is fitted from x when not supplied; passing a
+    The package's one scorer of a single allocation: it runs the arithmetic
+    of the batch screen (``mean_diff_block``, ``whiten``,
+    ``squared_distance``) on the allocation's own signed columns.  The
+    covariance model is fitted from x when not supplied; passing a
     prefitted model keeps repeated scoring consistent and cheap.
     """
     labels = list(dict.fromkeys(_effect_label(w, e) for e in effects))

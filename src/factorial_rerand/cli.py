@@ -253,9 +253,13 @@ class RunConfig:
                 raise ParseError(f"{where}: missing 'q'")
             with _building(where):
                 q = cal["q"]
+                # Only a value float() refuses stops here; the targets are
+                # kept as given, so calibration sees and refuses a bool.
+                for value in q.values() if isinstance(q, dict) else (q,):
+                    float(value)
                 cal = {
                     "effects": _strings(cal, "effects", where, ()),
-                    "q": {str(k): float(v) for k, v in q.items()} if isinstance(q, dict) else float(q),
+                    "q": q,
                     "n_draws": _count(cal, "n_draws", where, 10_000),
                 }
 

@@ -222,8 +222,9 @@ class Tier:
             raise ValueError(f"tier {self.name!r} repeats an effect")
         if (self.a is None) == (self.joint_prob is None):
             raise ValueError(f"tier {self.name!r} needs exactly one of a threshold or a joint probability")
-        if self.a is not None and not self.a > 0:
-            raise ValueError(f"tier {self.name!r}: threshold must be positive, got {self.a}")
+        # float(True) is 1.0: a JSON true would run as threshold 1.
+        if self.a is not None and (isinstance(self.a, bool) or not self.a > 0):
+            raise ValueError(f"tier {self.name!r}: threshold must be a positive number, got {self.a!r}")
         if self.joint_prob is not None and not 0.0 < self.joint_prob < 1.0:
             raise ValueError(
                 f"tier {self.name!r}: joint probability must be in (0, 1), got {self.joint_prob}"

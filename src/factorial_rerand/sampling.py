@@ -440,7 +440,12 @@ class BalanceKernel:
         return squared_distance(dz, self.n) <= self.thresholds[label]
 
     def passing(self, combos: np.ndarray) -> np.ndarray:
-        """Indices (ascending) of combination rows passing every monitored threshold."""
+        """Indices (ascending) of combination rows passing every monitored threshold.
+
+        It has two roles: ``randomization_test`` vets the observed allocation
+        with it, and it is the reference that ``surviving``'s key-split screen
+        must match bit for bit on the finished allocations of the same keys.
+        """
         alive = np.arange(combos.shape[0])
         for label in self.screen_order:
             if alive.size == 0:

@@ -562,18 +562,19 @@ def calibrate_empirical_thresholds(
         missing = [lab for lab in labels if lab not in q]
         if missing:
             raise ValueError(f"no quantile target for effects {missing}")
-        q_of = {lab: float(q[lab]) for lab in labels}
+        q_of = {lab: q[lab] for lab in labels}
     else:
-        q_of = {lab: float(q) for lab in labels}
+        q_of = dict.fromkeys(labels, q)
     for lab, value in q_of.items():
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"quantile target for {lab!r} must be in (0, 1], got {value}")
+        # float(True) is 1.0: a JSON true would calibrate at the maximum.
+        if isinstance(value, bool) or not 0.0 < float(value) <= 1.0:
+            raise ValueError(f"quantile target for {lab!r} must be a number in (0, 1], got {value!r}")
     m_all, _ = sampling.collect(
         kernel, lambda combos: kernel.all_distances(combos, labels), seed,
         sampling.PURPOSE_CALIBRATE, n_draws, n_draws, workers,
     )
     return {
-        lab: float(np.quantile(m_all[:, j], q_of[lab], method="linear"))
+        lab: float(np.quantile(m_all[:, j], float(q_of[lab]), method="linear"))
         for j, lab in enumerate(labels)
     }
 

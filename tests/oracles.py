@@ -6,6 +6,9 @@ completely different route: direct numerical quadrature of the density after
 the substitution u = t^2, which removes the integrable singularity at zero
 for one degree of freedom.  Normalizing constants come from the exact
 half-integer gamma recursion, not from any library special function.
+
+Balanced allocations come from routes of their own too: a Fisher-Yates
+shuffle of the combination multiset, and a full enumeration for small designs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from factorial_rerand.assignment import Allocation
+from factorial_rerand.design import DesignSpec
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(40)
 
@@ -59,6 +65,16 @@ def variance_factor_quadrature(p: int, a: float) -> float:
 def mahalanobis_direct(d: np.ndarray, cov: np.ndarray, n: int) -> float:
     """Quadratic form through an explicit inverse, for cross-checking."""
     return float(n / 4.0 * d @ np.linalg.inv(cov) @ d)
+
+
+def shuffled_allocation(spec: DesignSpec, rng: np.random.Generator) -> Allocation:
+    """A uniform balanced allocation by a Fisher-Yates shuffle of the combination multiset.
+
+    An independent route to the package's keyed draw, used where a test
+    needs allocations as plain input data.
+    """
+    combos = np.repeat(np.arange(1, spec.n_combinations + 1), spec.r)
+    return Allocation(spec, rng.permutation(combos))
 
 
 def balanced_allocations(k: int, r: int) -> list[tuple[int, ...]]:

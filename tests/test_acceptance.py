@@ -15,15 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import chi2_cdf_quadrature, variance_factor_quadrature
+from oracles import chi2_cdf_quadrature, shuffled_allocation, variance_factor_quadrature
 from factorial_rerand import engine, sampling, simlab
-from factorial_rerand.assignment import (
-    Allocation,
-    AssignmentMatrix,
-    expand_assignment,
-    negate,
-    random_allocation,
-)
+from factorial_rerand.assignment import AssignmentMatrix, expand_assignment, negate
 from factorial_rerand.balance import CovariateMatrix, balance_profile
 from factorial_rerand.criteria import (
     AcceptanceRule,
@@ -425,7 +419,7 @@ def test_c9_property_bundle():
     spec = DesignSpec(k=2, r=8)
     mm = expand_model_matrix(build_design_matrix(spec))
     for trial in range(5):
-        alloc = random_allocation(spec, rng)
+        alloc = shuffled_allocation(spec, rng)
         w = expand_assignment(alloc, mm)
         base = rng.normal(size=(32, 3))
         a = rng.normal(size=(3, 3)) + 4.0 * np.eye(3)
@@ -442,7 +436,7 @@ def test_c9_property_bundle():
     mm3 = expand_model_matrix(build_design_matrix(spec3))
     effects3 = tuple(lab for lab in mm3.labels if lab != "mean")
     for trial in range(5):
-        alloc = random_allocation(spec3, rng)
+        alloc = shuffled_allocation(spec3, rng)
         w = expand_assignment(alloc, mm3)
         x3 = CovariateMatrix(rng.normal(size=(32, 3)), names=("u", "v", "t"))
         flipped = AssignmentMatrix(entries=-w.entries, labels=w.labels, k=w.k)
@@ -460,7 +454,7 @@ def test_c9_property_bundle():
 
     # (c) mean differences equal group-mean differences (1e-12)
     for trial in range(5):
-        alloc = random_allocation(spec3, rng)
+        alloc = shuffled_allocation(spec3, rng)
         w = expand_assignment(alloc, mm3)
         x3 = CovariateMatrix(rng.normal(size=(32, 4)), names=("a", "b", "c", "d"))
         prof = balance_profile(x3, w, effects3)
@@ -476,13 +470,18 @@ def test_c9_property_bundle():
         if not (g.T @ g == (1 << k) * np.eye(1 << k, dtype=np.int64)).all():
             failures.append(f"orthogonality broke at k={k}")
 
-    # (e) every drawn allocation is exactly balanced, in both row orderings
+    # (e) every allocation the package draws (its keyed stream) is exactly
+    # balanced, in both row orderings
     for k, r in ((1, 7), (3, 5), (5, 2)):
         for order in Order:
             spec_b = DesignSpec(k=k, r=r, order=order)
-            for _ in range(20):
-                alloc = random_allocation(spec_b, rng)
-                counts = np.bincount(alloc.combo_of_unit, minlength=(1 << k) + 1)[1:]
+            x_b = CovariateMatrix(np.arange(spec_b.n, dtype=float)[:, None], names=("x",))
+            rows, _ = sampling.collect(
+                engine._prepare(x_b, spec_b), lambda rows: rows, 909,
+                sampling.PURPOSE_STUDY_PURE, 20, 20, 1,
+            )
+            for row in rows:
+                counts = np.bincount(row, minlength=(1 << k) + 1)[1:]
                 if not (counts == r).all():
                     failures.append(f"imbalance at k={k} r={r} {order}")
 

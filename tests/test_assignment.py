@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorial_rerand import fileio
-from factorial_rerand.assignment import (
-    Allocation,
-    combination_multiset,
-    expand_assignment,
-    negate,
-    random_allocation,
-)
-from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
+from oracles import shuffled_allocation
+from factorial_rerand import engine, fileio, sampling
+from factorial_rerand.assignment import Allocation, expand_assignment, negate
+from factorial_rerand.balance import CovariateMatrix
+from factorial_rerand.design import DesignSpec, Order, build_design_matrix, expand_model_matrix
 from factorial_rerand.errors import DimensionMismatch
 
 
@@ -19,9 +15,21 @@ def _mm(spec):
     return expand_model_matrix(build_design_matrix(spec))
 
 
+def _keyed_draws(spec, seed, rows):
+    """``rows`` pure draws of the package's keyed stream, over any non-singular covariates."""
+    x = CovariateMatrix(np.arange(1.0, spec.n + 1)[:, None], names=("x",))
+    draws, _ = sampling.collect(
+        engine._prepare(x, spec), lambda rows: rows, seed, sampling.PURPOSE_STUDY_PURE,
+        rows, rows, 1,
+    )
+    return draws
+
+
 def test_combination_multiset():
+    # Every keyed draw holds each combination index exactly r times.
     spec = DesignSpec(k=2, r=3)
-    assert combination_multiset(spec).tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+    for row in _keyed_draws(spec, 0, 5):
+        assert np.sort(row).tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
 
 def test_allocation_validation():
@@ -37,6 +45,21 @@ def test_allocation_validation():
         Allocation(spec=spec, combo_of_unit=np.array([1, 1, 2, 2, 3, 3, 4, 5]))
 
 
+@pytest.mark.parametrize(
+    "combos",
+    [
+        [1.9, 1.2, 2.7, 2.0],
+        np.array([1, 1, 2, 2 + 2**32]),  # wraps to 1, 1, 2, 2 in int32
+        [1, 1, "2", 2],
+        [True, True, 2, 2],  # numpy makes this an int64 array of 1, 1, 2, 2
+    ],
+    ids=["floats", "beyond-int32", "string", "bools"],
+)
+def test_allocation_refuses_inputs_an_int32_cast_would_take(combos):
+    with pytest.raises(ValueError, match="integers"):
+        Allocation(spec=DesignSpec(k=1, r=2), combo_of_unit=combos)
+
+
 def test_allocation_keeps_a_private_copy():
     combos = np.array([1, 1, 2, 2, 3, 3, 4, 4], dtype=np.int32)
     alloc = Allocation(spec=DesignSpec(k=2, r=2), combo_of_unit=combos)
@@ -47,40 +70,21 @@ def test_allocation_keeps_a_private_copy():
 
 
 def test_random_allocation_is_balanced_and_deterministic():
-    spec = DesignSpec(k=3, r=5)
-    a1 = random_allocation(spec, np.random.default_rng(7))
-    a2 = random_allocation(spec, np.random.default_rng(7))
-    a3 = random_allocation(spec, np.random.default_rng(8))
-    assert np.array_equal(a1.combo_of_unit, a2.combo_of_unit)
-    assert not np.array_equal(a1.combo_of_unit, a3.combo_of_unit)
-    assert a1.combo_of_unit.dtype == np.int32
-    counts = np.bincount(a1.combo_of_unit, minlength=9)[1:]
-    assert (counts == 5).all()
-
-
-@pytest.mark.parametrize("k, r", [(1, 2), (2, 3), (3, 5), (5, 43)])
-def test_intp_multiset_shuffles_to_the_rows_of_the_int32_multiset(k, r):
-    # The multiset is intp for numpy's 8-byte shuffle path; the stream of
-    # candidates must stay the one the int32 multiset gave.
-    spec = DesignSpec(k=k, r=r)
-    base = combination_multiset(spec)
-    assert base.dtype == np.intp
-    narrow = base.astype(np.int32)
-    for seed in (0, 7, 41, 2**40 + 3):
-        for rows in (1, 5, 64):
-            wide_rows = np.repeat(base[None, :], rows, axis=0)
-            np.random.default_rng(seed).permuted(wide_rows, axis=1, out=wide_rows)
-            narrow_rows = np.repeat(narrow[None, :], rows, axis=0)
-            np.random.default_rng(seed).permuted(narrow_rows, axis=1, out=narrow_rows)
-            assert np.array_equal(wide_rows, narrow_rows)
-        alloc = random_allocation(spec, np.random.default_rng(seed))
-        assert np.array_equal(alloc.combo_of_unit, np.random.default_rng(seed).permutation(narrow))
+    for order in Order:
+        spec = DesignSpec(k=3, r=5, order=order)
+        a1 = _keyed_draws(spec, 7, 1)[0]
+        a2 = _keyed_draws(spec, 7, 1)[0]
+        a3 = _keyed_draws(spec, 8, 1)[0]
+        assert np.array_equal(a1, a2)
+        assert not np.array_equal(a1, a3)
+        counts = np.bincount(a1, minlength=9)[1:]
+        assert (counts == 5).all()
 
 
 def test_int64_rows_give_the_results_of_int32_rows(tmp_path):
     spec = DesignSpec(k=3, r=4)
     mm = _mm(spec)
-    wide = np.random.default_rng(5).permutation(combination_multiset(spec)).astype(np.int64)
+    wide = shuffled_allocation(spec, np.random.default_rng(5)).combo_of_unit.astype(np.int64)
     allocs = [Allocation(spec=spec, combo_of_unit=row) for row in (wide, wide.astype(np.int32))]
     for alloc in allocs:
         assert alloc.combo_of_unit.dtype == np.int32
@@ -108,7 +112,7 @@ def test_expand_assignment_k1_fixture():
 
 def test_expand_assignment_k_mismatch():
     spec = DesignSpec(k=2, r=2)
-    alloc = random_allocation(spec, np.random.default_rng(0))
+    alloc = shuffled_allocation(spec, np.random.default_rng(0))
     with pytest.raises(DimensionMismatch):
         expand_assignment(alloc, _mm(DesignSpec(k=3, r=1)))
 
@@ -118,7 +122,7 @@ def test_expand_assignment_k_mismatch():
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_signed_columns_sum_to_zero(k, r, seed):
     spec = DesignSpec(k=k, r=r)
-    alloc = random_allocation(spec, np.random.default_rng(seed))
+    alloc = shuffled_allocation(spec, np.random.default_rng(seed))
     w = expand_assignment(alloc, _mm(spec))
     for label in w.labels:
         total = int(w.column(label).sum())
@@ -128,7 +132,7 @@ def test_signed_columns_sum_to_zero(k, r, seed):
 def test_negate_flips_odd_order_columns_only():
     spec = DesignSpec(k=3, r=2)
     mm = _mm(spec)
-    alloc = random_allocation(spec, np.random.default_rng(3))
+    alloc = shuffled_allocation(spec, np.random.default_rng(3))
     mirrored = negate(alloc, mm)
     w = expand_assignment(alloc, mm)
     wm = expand_assignment(mirrored, mm)
@@ -141,7 +145,7 @@ def test_negate_flips_odd_order_columns_only():
 def test_negate_is_an_involution_and_balanced():
     spec = DesignSpec(k=4, r=3)
     mm = _mm(spec)
-    alloc = random_allocation(spec, np.random.default_rng(11))
+    alloc = shuffled_allocation(spec, np.random.default_rng(11))
     back = negate(negate(alloc, mm), mm)
     assert np.array_equal(back.combo_of_unit, alloc.combo_of_unit)
     counts = np.bincount(negate(alloc, mm).combo_of_unit, minlength=17)[1:]

@@ -7,15 +7,9 @@ import numpy as np
 import pytest
 
 import factorial_rerand
-from oracles import mahalanobis_direct
-from factorial_rerand.assignment import Allocation, AssignmentMatrix, random_allocation, expand_assignment
-from factorial_rerand.balance import (
-    CovariateMatrix,
-    balance_profile,
-    fit_covariance,
-    mahalanobis,
-    mean_difference,
-)
+from oracles import mahalanobis_direct, shuffled_allocation
+from factorial_rerand.assignment import Allocation, AssignmentMatrix, expand_assignment
+from factorial_rerand.balance import CovariateMatrix, balance_profile, fit_covariance
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 from factorial_rerand.errors import DimensionMismatch, SingularCovariance
 
@@ -37,46 +31,50 @@ def test_single_factor_fixture_distance():
     spec = DesignSpec(k=1, r=2)
     w = _assignment(spec, [1, 1, 2, 2])
     x = CovariateMatrix(np.array([[1.0], [2.0], [3.0], [4.0]]), names=("x",))
-    d = mean_difference(x, w, "A")
-    assert d[0] == pytest.approx(2.0, abs=1e-15)
-    cm = fit_covariance(x)
-    assert mahalanobis(cm, d, n=4) == pytest.approx(2.4, abs=1e-12)
+    profile = balance_profile(x, w, ("A",))
+    assert profile.d("A")[0] == pytest.approx(2.0, abs=1e-15)
+    assert profile.m("A") == pytest.approx(2.4, abs=1e-12)
 
 
 def test_mean_difference_rejects_mean_column():
     spec = DesignSpec(k=1, r=2)
     w = _assignment(spec, [1, 1, 2, 2])
     x = CovariateMatrix(np.array([[1.0], [2.0], [3.0], [4.0]]), names=("x",))
-    with pytest.raises(ValueError):
-        mean_difference(x, w, "mean")
+    with pytest.raises(ValueError, match="'mean' is not a factorial effect"):
+        balance_profile(x, w, ("mean",))
 
 
 def test_mean_difference_matches_group_means():
     rng = np.random.default_rng(5)
     spec = DesignSpec(k=2, r=8)
-    alloc = random_allocation(spec, rng)
+    alloc = shuffled_allocation(spec, rng)
     w = _assignment(spec, alloc.combo_of_unit)
     x = CovariateMatrix(rng.normal(size=(32, 4)), names=("a", "b", "c", "d"))
+    profile = balance_profile(x, w, ("A", "B", "AB"))
     for effect in ("A", "B", "AB"):
         col = w.column(effect)
         direct = x.entries[col > 0].mean(axis=0) - x.entries[col < 0].mean(axis=0)
-        assert np.allclose(mean_difference(x, w, effect), direct, atol=1e-12)
+        assert np.allclose(profile.d(effect), direct, atol=1e-12)
 
 
 def test_mahalanobis_matches_explicit_inverse():
     rng = np.random.default_rng(9)
+    spec = DesignSpec(k=3, r=5)
     x = CovariateMatrix(rng.normal(size=(40, 5)), names=tuple("abcde"))
     cm = fit_covariance(x)
+    effects = expand_model_matrix(build_design_matrix(spec)).effect_labels
     for _ in range(10):
-        d = rng.normal(size=5)
-        expected = mahalanobis_direct(d, cm.matrix, n=40)
-        assert mahalanobis(cm, d, n=40) == pytest.approx(expected, rel=1e-10)
+        w = _assignment(spec, shuffled_allocation(spec, rng).combo_of_unit)
+        profile = balance_profile(x, w, effects, cm=cm)
+        for effect in effects:
+            expected = mahalanobis_direct(profile.d(effect), cm.matrix, n=40)
+            assert profile.m(effect) == pytest.approx(expected, rel=1e-10)
 
 
 def test_distance_affine_invariance():
     rng = np.random.default_rng(17)
     spec = DesignSpec(k=2, r=8)
-    alloc = random_allocation(spec, rng)
+    alloc = shuffled_allocation(spec, rng)
     w = _assignment(spec, alloc.combo_of_unit)
     base = rng.normal(size=(32, 3))
     a = rng.normal(size=(3, 3)) + 3 * np.eye(3)
@@ -92,7 +90,7 @@ def test_distance_affine_invariance():
 def test_sign_flip_leaves_distances_unchanged():
     rng = np.random.default_rng(23)
     spec = DesignSpec(k=3, r=4)
-    alloc = random_allocation(spec, rng)
+    alloc = shuffled_allocation(spec, rng)
     mm = expand_model_matrix(build_design_matrix(spec))
     w = expand_assignment(alloc, mm)
     flipped = AssignmentMatrix(entries=-w.entries, labels=w.labels, k=w.k)
@@ -153,7 +151,7 @@ def test_covariate_matrix_keeps_a_private_copy():
 def test_balance_profile_rows_and_lookup():
     rng = np.random.default_rng(2)
     spec = DesignSpec(k=2, r=4)
-    alloc = random_allocation(spec, rng)
+    alloc = shuffled_allocation(spec, rng)
     w = _assignment(spec, alloc.combo_of_unit)
     x = CovariateMatrix(rng.normal(size=(16, 2)), names=("one", "two"))
     profile = balance_profile(x, w, ("A", "B", "A"))
@@ -169,7 +167,7 @@ def test_balance_profile_rows_and_lookup():
 def test_balance_profile_integer_effect_lookup():
     rng = np.random.default_rng(4)
     spec = DesignSpec(k=2, r=4)
-    alloc = random_allocation(spec, rng)
+    alloc = shuffled_allocation(spec, rng)
     w = _assignment(spec, alloc.combo_of_unit)
     x = CovariateMatrix(rng.normal(size=(16, 2)), names=("one", "two"))
     by_name = balance_profile(x, w, ("A",))
@@ -185,7 +183,7 @@ def test_balance_profile_integer_effect_lookup():
 def test_profile_rejects_row_mismatch():
     rng = np.random.default_rng(6)
     spec = DesignSpec(k=2, r=4)
-    alloc = random_allocation(spec, rng)
+    alloc = shuffled_allocation(spec, rng)
     w = _assignment(spec, alloc.combo_of_unit)
     x = CovariateMatrix(rng.normal(size=(12, 2)), names=("one", "two"))
     with pytest.raises(DimensionMismatch):

@@ -344,6 +344,10 @@ MALFORMED = [
     ("allocate", ("rule", "tiers", 0, "effects"), ["A", "mean"], []),
     ("calibrate", ("calibration", "effects"), ["mean"], []),
     ("simulate", ("simulation", "effects"), ["A", "mean"], []),
+    # float(True) is 1: a JSON true is neither a threshold nor a quantile.
+    ("allocate", ("rule", "tiers", 0), {"name": "mains", "effects": ["A", "B"], "a": True}, []),
+    ("calibrate", ("calibration", "q"), True, []),
+    ("calibrate", ("calibration", "q"), {"A": 0.5, "B": True}, []),
 ]
 
 

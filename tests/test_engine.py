@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import shuffled_allocation
 from factorial_rerand import engine, sampling, simlab
 from factorial_rerand.assignment import Allocation, AssignmentMatrix, expand_assignment
 from factorial_rerand.balance import CovariateMatrix, balance_profile, fit_covariance
@@ -221,11 +222,9 @@ def test_randomization_test_requires_accepted_observed(small_problem):
     # scan for an allocation the rule rejects
     rng = np.random.default_rng(0)
     mm = expand_model_matrix(build_design_matrix(spec))
-    from factorial_rerand.assignment import random_allocation
-
     rejected = None
     for _ in range(200):
-        cand = random_allocation(spec, rng)
+        cand = shuffled_allocation(spec, rng)
         w = expand_assignment(cand, mm)
         if not accept(balance_profile(x, w, rule.monitored_effects), rule):
             rejected = cand

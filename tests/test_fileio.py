@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import shuffled_allocation
 from factorial_rerand import fileio, simlab
-from factorial_rerand.assignment import expand_assignment, random_allocation
+from factorial_rerand.assignment import expand_assignment
 from factorial_rerand.balance import CovariateMatrix, balance_profile
 from factorial_rerand.design import DesignSpec, Order, build_design_matrix, expand_model_matrix
 from factorial_rerand.errors import ParseError
@@ -52,7 +53,7 @@ def test_covariates_error_reporting(tmp_path):
 @pytest.mark.parametrize("order", list(Order))
 def test_allocation_round_trip_infers_order(tmp_path, order):
     spec = DesignSpec(k=3, r=2, order=order)
-    alloc = random_allocation(spec, np.random.default_rng(5))
+    alloc = shuffled_allocation(spec, np.random.default_rng(5))
     path = tmp_path / "alloc.csv"
     fileio.write_allocation(path, alloc)
     back = fileio.read_allocation(path)
@@ -64,7 +65,7 @@ def test_allocation_round_trip_infers_order(tmp_path, order):
 
 def test_allocation_rejects_tampered_signs(tmp_path):
     spec = DesignSpec(k=2, r=2)
-    alloc = random_allocation(spec, np.random.default_rng(1))
+    alloc = shuffled_allocation(spec, np.random.default_rng(1))
     path = tmp_path / "alloc.csv"
     fileio.write_allocation(path, alloc)
     lines = path.read_text().splitlines()
@@ -78,7 +79,7 @@ def test_allocation_rejects_tampered_signs(tmp_path):
 
 def test_allocation_rejects_bad_unit_ids(tmp_path):
     spec = DesignSpec(k=2, r=2)
-    alloc = random_allocation(spec, np.random.default_rng(2))
+    alloc = shuffled_allocation(spec, np.random.default_rng(2))
     path = tmp_path / "alloc.csv"
     fileio.write_allocation(path, alloc)
     text = path.read_text().replace("\n1,", "\n2,", 1)
@@ -105,7 +106,7 @@ def test_allocation_header_and_range_checks(tmp_path):
 
 def test_allocation_spec_mismatch(tmp_path):
     spec = DesignSpec(k=2, r=2)
-    alloc = random_allocation(spec, np.random.default_rng(3))
+    alloc = shuffled_allocation(spec, np.random.default_rng(3))
     path = tmp_path / "alloc.csv"
     fileio.write_allocation(path, alloc)
     with pytest.raises(ParseError, match="factor columns"):
@@ -186,7 +187,7 @@ def test_write_covariates_gives_the_cell_by_cell_bytes(tmp_path, x):
 
 def test_write_allocation_and_outcomes_give_the_cell_by_cell_bytes(tmp_path):
     spec = DesignSpec(k=5, r=43)
-    alloc = random_allocation(spec, np.random.default_rng(6))
+    alloc = shuffled_allocation(spec, np.random.default_rng(6))
     path = tmp_path / "alloc.csv"
     fileio.write_allocation(path, alloc)
     signs = build_design_matrix(spec).entries[alloc.combo_of_unit - 1]
@@ -212,7 +213,7 @@ def test_write_allocation_and_outcomes_give_the_cell_by_cell_bytes(tmp_path):
 def test_write_balance_report_gives_the_cell_by_cell_bytes(tmp_path):
     spec = DesignSpec(k=2, r=2)
     x = CovariateMatrix(np.random.default_rng(8).normal(size=(8, 2)), names=("a, b", "c"))
-    alloc = random_allocation(spec, np.random.default_rng(9))
+    alloc = shuffled_allocation(spec, np.random.default_rng(9))
     w = expand_assignment(alloc, expand_model_matrix(build_design_matrix(spec)))
     profile = balance_profile(x, w, ["A", "AB"])
     path = tmp_path / "balance.csv"

@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 from oracles import mahalanobis_direct
 from factorial_rerand import engine, sampling
 from factorial_rerand.assignment import Allocation, expand_assignment
-from factorial_rerand.balance import (
-    CovariateMatrix,
-    balance_profile,
-    fit_covariance,
-    mahalanobis,
-    mean_difference,
-)
+from factorial_rerand.balance import CovariateMatrix, balance_profile, fit_covariance
 from factorial_rerand.criteria import (
     AcceptanceRule,
     Tier,
@@ -177,7 +171,6 @@ def test_every_scoring_route_gives_one_distance(k, r, p, scales, joint, seed):
             routes = (
                 block[i, j],
                 kernel.distances(kernel.mean_diffs(combos[i : i + 1], eff))[0],
-                mahalanobis(cm, mean_difference(x, w, eff), spec.n),
             )
             for route in routes:
                 assert route == pytest.approx(m, rel=1e-12)
