@@ -7,7 +7,9 @@ in the metric of the (allocation-independent) covariate covariance.
 
 Every distance in the package is ``squared_distance`` of a ``mean_diff_block``
 taken over whitened covariates, or of one ``CovarianceModel.whiten`` maps:
-with z_f the whitened d_f, M_f = (n/4) d_f' S^{-1} d_f = (n/4) |z_f|^2.
+with z_f the whitened d_f, M_f = (n/4) d_f' S^{-1} d_f = (n/4) |z_f|^2.  The
+screen scores a main effect with ``mask_diff_block``, the same difference up
+to rounding.
 """
 
 from __future__ import annotations
@@ -150,6 +152,15 @@ def fit_covariance(x: CovariateMatrix) -> CovarianceModel:
 def mean_diff_block(signs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(2/n) signs @ cols: the group-mean difference of ``cols`` for each row of +-1 signs."""
     return signs @ cols * (2.0 / cols.shape[0])
+
+
+def mask_diff_block(high: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(4/n) high @ cols: ``mean_diff_block`` of the signs 2 high - 1, for rows of 0/1 masks.
+
+    The two agree up to rounding when every column of ``cols`` sums to zero,
+    as centered and whitened covariates do, since (2/n) 1 @ cols drops out.
+    """
+    return high @ cols * (4.0 / cols.shape[0])
 
 
 def squared_distance(white_diffs: np.ndarray, n: int) -> np.ndarray:

@@ -31,13 +31,22 @@ paper's scale (K=5, n=1376).
 The screen splits a row only as far as its effects need
 (``BalanceKernel.surviving``).  Factors are split in the order their
 effects first appear in ``screen_order``, and each effect is screened as
-soon as its factors are split, on each unit's representative combination:
-its split factors at their levels, the others low.  That gives the effect
-its final signs, so every distance has the bits it has on the finished
-allocation.  A row that fails the first main effect costs one split instead
-of a whole allocation.  Every cell's median is read off one sort of the
-row's keys: a partition per cell and split cost as much at the paper's
-scale, and more on small designs.
+soon as its factors are split.  The first split needs only the row's
+median, so it partitions a copy of the keys at the median, with no sort.
+A main effect is scored from the 0/1 mask of its units on the high level,
+as (4/n) high @ white (``balance.mask_diff_block``): the whitened columns
+sum to zero, so this is (2/n) signs @ white up to rounding.  When the
+first stage is a main effect, as under the paper's rule, it writes its mask
+``keys > median`` straight into the sign buffer and scores it there, and
+only the rows that pass are sorted, so that every later cell's median can be
+read off the sorted keys.  A later main effect is scored from the
+comparison mask its own split computes.  An interaction is scored on each
+unit's representative combination: its split factors at their levels, the
+others low, which gives the effect its final signs.  So every distance has
+the bits it has on the finished allocation as ``passing`` scores it, which
+takes each main effect's mask from the finished combinations.  A row that
+fails the first main effect costs one partition instead of a sort and a
+whole allocation.
 Survivors are finished into combination rows: when every factor was split,
 their representatives are those rows, otherwise ``allocations`` finishes
 them, and it finishes a pure draw's rows, with one sort and one scatter.
@@ -71,15 +80,29 @@ no slower.  Small designs keep 512-row chunks: a cap of a fixed byte size
 alone drew 11008-row blocks of 64 units, which fall out of cache, and
 shorter chunks of short rows pay more per-call overhead.
 
-Each thread scores into one sign buffer, and sorts keys into one key
-buffer, that the kernel keeps for it, grown to the largest chunk the thread
-has used.  A fresh (rows, n) block per chunk or screen stage is handed back
-to the system once freed (glibc trims it), and the next chunk faults the
-same pages in again: on Linux a paper-scale ``rerandomize`` call took about
-5,900 minor page faults with a fresh sign block per stage and about 450 with
-the kept one, and a 64-row paper-scale chunk about 330 faults with fresh
-sorted keys and 6 with the kept buffer.  The buffers hold one step's values
-only; no result refers to them.
+Each thread keeps one buffer per kind of block, grown to the largest block
+it has used: the keys ``draw`` returns, the partitioned and then sorted
+keys, the keys of the rows that pass the first stage, the median index of a
+split, and the signs or masks a stage scores.  So ``draw`` returns a view
+that holds until the thread's next draw, and a screen allocates no block of
+a chunk's size.  That matters because of how glibc's malloc treats large
+blocks.  A block of its mmap threshold or more (128 KB to begin with) is
+mapped fresh, faulted in page by page, and unmapped when freed.  Freeing one
+raises the threshold to its size, and the heap's trim threshold to twice
+that; blocks under the threshold come from the heap, whose free top is
+handed back, and faulted in again, once it grows past the trim threshold.
+So whether a fresh block per chunk faults depends on what else the process
+frees: a 64-row paper-scale draw is 352 KB, and a first stage that gathered
+signs through uint8 representatives freed a 704 KB intp cast of them per
+chunk, which kept the threshold above the draw by accident.  Measured on
+Linux over paper-scale ``rerandomize`` calls whose results are kept: 12 to
+22 minor faults per call with every buffer kept, as with the sign gather,
+the count moving with the heap layout the interpreter starts with; about
+300 with a fresh median index per split, and about 480 with a fresh draw
+per chunk as well.  The key source, ``random_keys``, fills the kept buffer
+with at most ``RAW_PIECE`` raw outputs at a time, so it asks for no large
+block either; the package leaves the allocator's settings alone.  The
+buffers hold one step's values only; no result refers to them.
 """
 
 from __future__ import annotations
@@ -96,7 +119,13 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .balance import CovarianceModel, CovariateMatrix, mean_diff_block, squared_distance
+from .balance import (
+    CovarianceModel,
+    CovariateMatrix,
+    mask_diff_block,
+    mean_diff_block,
+    squared_distance,
+)
 from .criteria import acceptance_probability, chi2_cdf
 from .design import DesignSpec, ModelMatrix
 from .errors import DimensionMismatch, MaxDrawsExceeded
@@ -104,7 +133,7 @@ from .errors import DimensionMismatch, MaxDrawsExceeded
 # Names the candidate stream: which allocation a seed, a purpose and a
 # candidate index give.  Every output records it, and it changes whenever
 # that mapping does.
-SAMPLER = "key-splits-1"
+SAMPLER = "key-splits-2"
 
 # Work unit of the rerandomization loop.  Small enough that the overshoot
 # past an accepted draw stays negligible.
@@ -121,6 +150,11 @@ CHUNK_KEYS = 2**18
 # Chunks aim this far above the rows the implied acceptance rate predicts,
 # so that a batch rarely needs a second chunk.
 CHUNK_HEADROOM = 1.25
+
+# Most raw 64-bit outputs a draw asks its generator for at once (32 KB): a
+# request far below glibc's 128 KB mmap threshold is served from the heap
+# (see the module docstring).
+RAW_PIECE = 4096
 
 # Most worker threads a sampling stream may run.  Each keeps one batch in
 # flight, so this bounds both the threads started and the batches in memory.
@@ -146,13 +180,18 @@ def batch_rng(seed: int, purpose: int, batch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, batch)))
 
 
-def random_keys(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """(rows, n) iid uniform 32-bit keys: n/2 raw 64-bit outputs of ``rng`` per row.
+def random_keys(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out``, a C-contiguous (rows, n) ``<u4`` block, with iid uniform 32-bit keys.
 
-    The words are read little-endian, so the keys are the same on any host.
+    Each row takes n/2 raw 64-bit outputs of ``rng``, read little-endian, so
+    the keys are the same on any host.  The outputs are asked for at most
+    ``RAW_PIECE`` at a time, which gives the sequence of one request for all
+    of them.
     """
-    raw = rng.bit_generator.random_raw(rows * n // 2)
-    return raw.astype("<u8", copy=False).view("<u4").reshape(rows, n)
+    words = out.reshape(-1).view("<u8")
+    bits = rng.bit_generator
+    for start in range(0, words.size, RAW_PIECE):
+        words[start : start + RAW_PIECE] = bits.random_raw(min(RAW_PIECE, words.size - start))
 
 
 def ordered_parallel_map(
@@ -273,16 +312,17 @@ class BalanceKernel:
     combination each cell of units ends in (see the module docstring).
 
     Thread-safe: the covariates, lookups, plan and thresholds are read-only,
-    and the only scratch is per thread (a ``threading.local``): the sign and
-    key buffers, which a step overwrites and no result refers to, and the
-    allocations ``surviving`` hands to ``screen``.  So one kernel may serve
-    many calls and threads.  ``engine._prepare`` builds
-    every kernel the package uses and keeps one per covariates object,
-    design and rule; pure draws and calibration use the one with no rule,
-    whose thresholds are empty.  A kernel holds no reference to the
-    covariates object it was built from.  ``draw``, ``allocations``,
-    ``mean_diffs`` and the screens return fresh arrays, valid across later
-    calls on any thread.
+    and the only scratch is per thread (a ``threading.local``): the draw,
+    key and sign buffers, which a step overwrites, and the allocations
+    ``surviving`` hands to ``screen``.  So one kernel may serve many calls
+    and threads.  ``engine._prepare`` builds every kernel the package uses
+    and keeps one per covariates object, design and rule; pure draws and
+    calibration use the one with no rule, whose thresholds are empty.  A
+    kernel holds no reference to the covariates object it was built from.
+    ``allocations``, ``mean_diffs`` and the screens return fresh arrays,
+    valid across later calls on any thread.  ``draw`` does not: its rows are
+    this thread's kept draw buffer, valid until the thread's next ``draw``,
+    so a caller that holds a draw across another copies it.
     """
 
     def __init__(
@@ -336,17 +376,19 @@ class BalanceKernel:
         self._ranked = np.repeat(combo_of_cell, spec.r)
         # After l splits, the representative of cell c is the combination with
         # c's levels on the split factors and every other factor low.  An
-        # effect whose factors are all split has its final sign there.  The
-        # smallest integer type holding them keeps the split passes short.
-        rep_type = np.min_scalar_type(mm.n_combinations)
-        self._reps = [
-            combo_of_cell[:: 1 << (mm.k - level)].astype(rep_type) for level in range(mm.k + 1)
-        ]
-        # What split ``level`` adds to the representative of a unit on its high side.
-        self._steps = [
-            rep_type.type(self._reps[level + 1][1] - self._reps[level + 1][0])
-            for level in range(mm.k)
-        ]
+        # effect whose factors are all split has its final sign there.
+        self._reps = [combo_of_cell[:: 1 << (mm.k - level)].copy() for level in range(mm.k + 1)]
+        # The smallest integer type holding every cell number keeps the split
+        # passes short.
+        self._cell_type = np.min_scalar_type(mm.n_combinations - 1)
+        # Each main effect's 0/1 mask of its high level, per combination index
+        # (entry 0 a zero pad): main effects are scored from masks.
+        self._high = {}
+        for lab in mm.effect_labels:
+            if mm.interaction_order(lab) == 1:
+                high = (self.sign_lookup(lab) > 0).astype(np.float64)
+                high.setflags(write=False)
+                self._high[lab] = high
 
     def sign_lookup(self, label: str) -> np.ndarray:
         """Signed value of one effect column per combination index (float64).
@@ -360,9 +402,26 @@ class BalanceKernel:
             self._signs[label] = col
         return col
 
+    def _kept(self, name: str, rows: int, dtype: np.dtype | type) -> np.ndarray:
+        """The first ``rows`` rows of this thread's kept (rows, n) buffer ``name``.
+
+        The buffer grows to the largest block the thread has asked for.
+        """
+        buf = getattr(self._scratch, name, None)
+        if buf is None or buf.shape[0] < rows or buf.dtype != dtype:
+            buf = np.empty((rows, self.n), dtype=dtype)
+            setattr(self._scratch, name, buf)
+        return buf[:rows]
+
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` rows of n iid uniform 32-bit keys (``random_keys``), one row per candidate."""
-        return random_keys(rng, size, self.n)
+        """``size`` rows of n iid uniform 32-bit keys (``random_keys``), one row per candidate.
+
+        The rows are this thread's kept draw buffer: they hold until the
+        thread's next ``draw`` on this kernel.
+        """
+        keys = self._kept("draw", size, np.dtype("<u4"))
+        random_keys(rng, keys)
+        return keys
 
     def allocations(self, keys: np.ndarray) -> np.ndarray:
         """(rows, n) combination indices of the allocations rows of keys split to.
@@ -422,11 +481,7 @@ class BalanceKernel:
         with 2^K + 1 entries.
         """
         cols = self.centered if centered is None else centered
-        rows = combos.shape[0]
-        buf = getattr(self._scratch, "signs", None)
-        if buf is None or buf.shape[0] < rows:
-            buf = self._scratch.signs = np.empty((rows, self.n))
-        signs = buf[:rows]
+        signs = self._kept("signs", combos.shape[0], np.float64)
         self.sign_lookup(label).take(combos, out=signs, mode="clip")
         return mean_diff_block(signs, cols)
 
@@ -434,10 +489,23 @@ class BalanceKernel:
         """Squared Mahalanobis distances for a (batch, p) block of covariate-unit differences."""
         return squared_distance(self.cm.whiten(diffs), self.n)
 
-    def _passes(self, combos: np.ndarray, label: str) -> np.ndarray:
-        """Mask of the combination rows whose distance for ``label`` is within its threshold."""
-        dz = self.mean_diffs(combos, label, self.white)
-        return squared_distance(dz, self.n) <= self.thresholds[label]
+    def _distances(self, combos: np.ndarray, label: str) -> np.ndarray:
+        """Squared distances of one effect over rows of combinations, as the screen scores them.
+
+        A main effect is scored from the 0/1 mask of its high level, gathered
+        into this thread's sign buffer (``_mask_distances``); any other effect
+        from its signs (``mean_diffs``).
+        """
+        high = self._high.get(label)
+        if high is None:
+            return squared_distance(self.mean_diffs(combos, label, self.white), self.n)
+        mask = self._kept("signs", combos.shape[0], np.float64)
+        high.take(combos, out=mask, mode="clip")
+        return self._mask_distances(mask)
+
+    def _mask_distances(self, mask: np.ndarray) -> np.ndarray:
+        """Squared distances of a main effect from rows of 0/1 masks in this thread's sign buffer."""
+        return squared_distance(mask_diff_block(mask, self.white), self.n)
 
     def passing(self, combos: np.ndarray) -> np.ndarray:
         """Indices (ascending) of combination rows passing every monitored threshold.
@@ -445,24 +513,34 @@ class BalanceKernel:
         It has two roles: ``randomization_test`` vets the observed allocation
         with it, and it is the reference that ``surviving``'s key-split screen
         must match bit for bit on the finished allocations of the same keys.
+        It scores each effect with ``_distances``: a main effect from the 0/1
+        mask of its high level, gathered from the finished combinations into
+        the sign buffer, as ``surviving`` scores it from the comparison mask
+        of its split; an interaction from its signs.  Each stage scores the
+        rows the stages before it passed, the blocks ``surviving`` scores.
         """
         alive = np.arange(combos.shape[0])
         for label in self.screen_order:
             if alive.size == 0:
                 break
-            keep = self._passes(combos, label)
+            keep = self._distances(combos, label) <= self.thresholds[label]
             alive, combos = alive[keep], combos[keep]
         return alive
 
     def surviving(self, keys: np.ndarray) -> np.ndarray:
         """Indices (ascending) of rows of keys whose allocations pass every threshold.
 
-        Each row's keys are sorted once, and each stage makes the splits its
-        effect needs, then scores the effect on each unit's representative
-        combination.  Those carry the effect's final signs, so the distances
-        are the bits ``passing`` computes on ``allocations(keys)``, in the
-        same blocks, and a row that fails is split no further.  A row that
-        ties at a cell edge is rejected.
+        The first split is made by partitioning a copy of each row's keys at
+        its median, with no sort.  When the first stage is a main effect, as
+        under the paper's rule, its 0/1 mask of keys above the median goes
+        straight into the sign buffer and is scored there; only the rows that
+        pass are sorted and split further.  Each later stage makes the splits
+        its effect needs, then scores a main effect from the comparison mask
+        of its split, and an interaction on each unit's representative
+        combination, read off the unit's cell.  Either way the effect has its
+        final levels, so the distances are the bits ``passing`` computes on
+        ``allocations(keys)``, in the same blocks, and a row that fails is
+        split no further.  A row that ties at a cell edge is rejected.
 
         Once every factor is split, the representatives of the rows returned
         are their allocations.  They stay in the thread's scratch, with the
@@ -470,61 +548,91 @@ class BalanceKernel:
         again: on a small design many candidates survive, and the second sort
         cost about a tenth of the inference-desk benchmark's throughput.
         """
-        alive = np.arange(keys.shape[0])
-        buf = getattr(self._scratch, "keys", None)
-        if buf is None or buf.shape[0] < keys.shape[0]:
-            buf = self._scratch.keys = np.empty(keys.shape, dtype=keys.dtype)
-        ranked = buf[: keys.shape[0]]
+        total, n = keys.shape
+        ranked = self._kept("ranked", total, keys.dtype)
         np.copyto(ranked, keys)
+        ranked.partition(n // 2 - 1, axis=1)
+        median = ranked[:, n // 2 - 1 : n // 2].copy()
+        alive = np.arange(total)
+        stages = self._stages
+        if stages and stages[0][1] == 1:
+            high = self._kept("signs", total, np.float64)
+            np.greater(keys, median, out=high)
+            alive = np.flatnonzero(self._mask_distances(high) <= self.thresholds[stages[0][0]])
+            stages = stages[1:]
+            if alive.size == 0:
+                return alive
+        # Kept buffers take the rows left: ``take`` writes straight into them
+        # with ``mode="clip"`` (the default mode buffers ``out``), which
+        # changes no value, since every index in ``alive`` is a row.
+        ranked = np.take(keys, alive, axis=0, out=ranked[: alive.size], mode="clip")
         ranked.sort(axis=1)
-        rep = np.full(keys.shape, self._reps[0][0])
-        # The rows of ``keys`` and ``ranked`` that ``rep`` holds: those two
+        keys = np.take(
+            keys, alive, axis=0, out=self._kept("split", alive.size, keys.dtype), mode="clip"
+        )
+        # Each unit's cell after the splits made so far, numbered so that the
+        # first split's level is the most significant bit.
+        cell = np.greater(keys, median[alive]).astype(self._cell_type)
+        # The rows of ``keys`` and ``ranked`` that ``cell`` holds: those two
         # are cut down only when another split needs them.
-        rows = alive
-        splits = 0
-        for label, need in self._stages:
+        rows = np.arange(alive.size)
+        splits = 1
+        for label, need in stages:
             if splits < need and rows.size < keys.shape[0]:
                 keys, ranked, rows = keys[rows], ranked[rows], np.arange(rows.size)
+            high = None
             while splits < need:
-                self._split(keys, ranked, rep, splits)
+                high = self._split(keys, ranked, cell, splits)
                 splits += 1
-            keep = self._passes(rep, label)
+            if high is not None and label in self._high:
+                # A main effect's factor is the last one split for it.
+                mask = self._kept("signs", high.shape[0], np.float64)
+                np.copyto(mask, high)
+                dist = self._mask_distances(mask)
+            else:
+                dist = self._distances(self._reps[splits].take(cell), label)
+            keep = dist <= self.thresholds[label]
             if not keep.all():
-                alive, rows, rep = alive[keep], rows[keep], rep[keep]
+                alive, rows, cell = alive[keep], rows[keep], cell[keep]
                 if alive.size == 0:
                     return alive
         untied = ~self._edge_ties(ranked[rows])
         alive = alive[untied]
         if splits == self.mm.k:
-            self._scratch.finished = (alive, rep[untied].astype(np.intp))
+            self._scratch.finished = (alive, self._reps[splits].take(cell[untied]))
         return alive
 
-    def _split(self, keys: np.ndarray, ranked: np.ndarray, rep: np.ndarray, level: int) -> None:
-        """Make split ``level``: move each unit above its cell's median to the high side.
+    def _split(
+        self, keys: np.ndarray, ranked: np.ndarray, cell: np.ndarray, level: int
+    ) -> np.ndarray:
+        """Make split ``level`` >= 1: move each unit above its cell's median to the high side.
 
         ``ranked`` holds each row's keys sorted, so cell c of the split spans
         ranks c*m to (c+1)*m - 1, with m = n / 2^level, and its median is the
-        key ranked c*m + m/2 - 1.  Each unit's representative moves in place.
+        key ranked c*m + m/2 - 1.  Each unit's cell number gains the split's
+        bit in place.  Returns the 0/1 mask of the units on the high side.
         """
         rows, n = keys.shape
-        cell = n >> level
-        medians = ranked[:, cell // 2 - 1 :: cell]
+        size = n >> level
+        medians = ranked[:, size // 2 - 1 :: size]
         if level == 1:
             # A unit of the low cell is at most the high cell's median, and
             # one of the high cell is above the low cell's: comparing every
             # key with both medians costs less than looking each unit's up.
             high = np.greater(keys, medians[:, :1]).view(np.uint8)
             high += np.greater(keys, medians[:, 1:])
-            high -= rep != self._reps[1][0]
-            rep += high * self._steps[level]
-            return
-        if level:
-            # Each unit's median, looked up by its representative.
-            width = self._reps[-1].size + 1
-            table = np.empty((rows, width), dtype=keys.dtype)
-            table[:, self._reps[level]] = medians
-            medians = table.ravel().take(rep + np.arange(0, rows * width, width)[:, None])
-        rep += np.greater(keys, medians) * self._steps[level]
+            high -= cell
+        else:
+            # Each unit's median, looked up by its cell, through kept
+            # buffers: the index block alone is 8 bytes a unit.
+            index = self._kept("index", rows, np.intp)
+            np.add(cell, np.arange(0, rows << level, 1 << level)[:, None], out=index)
+            lookup = self._kept("medians", rows, keys.dtype)
+            np.ascontiguousarray(medians).ravel().take(index, out=lookup, mode="clip")
+            high = np.greater(keys, lookup)
+        cell += cell
+        cell += high
+        return high
 
     def screen(
         self,
@@ -582,10 +690,6 @@ class BalanceKernel:
                 alive = np.arange(size)
                 rows.append(self._pure_allocations(rng, keys))
             positions.append(drawn + alive)
-            # Free this chunk before drawing the next one, which then reuses
-            # its memory: with the kept buffers, another block per thread
-            # would otherwise stay resident.
-            del keys
             drawn += size
             found += alive.size
             if sum(map(len, rows)) >= most:
@@ -599,6 +703,4 @@ class BalanceKernel:
 
     def all_distances(self, combos: np.ndarray, labels: Iterable[str]) -> np.ndarray:
         """(batch, n_effects) distance matrix with no early exit (for calibration)."""
-        return np.column_stack(
-            [squared_distance(self.mean_diffs(combos, lab, self.white), self.n) for lab in labels]
-        )
+        return np.column_stack([self._distances(combos, lab) for lab in labels])

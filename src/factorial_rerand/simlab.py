@@ -47,6 +47,12 @@ class OutcomeModel:
     target_r2: float | None = None
 
     def __post_init__(self) -> None:
+        # float(True) is 1.0: a JSON true would pass for the number 1.
+        if any(map(_is_bool, np.asarray(self.beta, dtype=object).ravel())):
+            raise ValueError(f"beta entries must be numbers, got {self.beta!r}")
+        for name in ("grand_mean", "sigma", "target_r2"):
+            if _is_bool(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)
         if beta.ndim != 1:
             raise DimensionMismatch(f"beta must be 1-d, got shape {beta.shape}")
@@ -56,6 +62,9 @@ class OutcomeModel:
         object.__setattr__(self, "beta", beta)
         if not isinstance(self.effects, Mapping):
             raise ValueError(f"effects must map effect names to sizes, got {self.effects!r}")
+        for name, size in self.effects.items():
+            if _is_bool(size):
+                raise ValueError(f"effect size for {name!r} must be a number, got {size!r}")
         object.__setattr__(self, "effects", {str(k): float(v) for k, v in self.effects.items()})
         object.__setattr__(self, "grand_mean", float(self.grand_mean))
         if (self.sigma is None) == (self.target_r2 is None):
@@ -64,6 +73,10 @@ class OutcomeModel:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.target_r2 is not None and not 0.0 <= self.target_r2 < 1.0:
             raise ValueError(f"target R^2 must be in [0, 1), got {self.target_r2}")
+
+
+def _is_bool(value: object) -> bool:
+    return isinstance(value, (bool, np.bool_))
 
 
 @dataclass(frozen=True, eq=False)

@@ -348,6 +348,12 @@ MALFORMED = [
     ("allocate", ("rule", "tiers", 0), {"name": "mains", "effects": ["A", "B"], "a": True}, []),
     ("calibrate", ("calibration", "q"), True, []),
     ("calibrate", ("calibration", "q"), {"A": 0.5, "B": True}, []),
+    ("simulate", ("simulation", "model"),
+     {"effects": {"A": 1.5}, "beta": [1.0, 1.0], "sigma": True}, []),
+    ("simulate", ("simulation", "model", "target_r2"), True, []),
+    ("simulate", ("simulation", "model", "effects"), {"A": True}, []),
+    ("simulate", ("simulation", "model", "beta"), [True, 1.0], []),
+    ("simulate", ("simulation", "model", "grand_mean"), True, []),
 ]
 
 

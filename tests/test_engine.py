@@ -86,7 +86,7 @@ def test_rerandomize_winner_is_the_first_screen_survivor(small_problem):
             b = (rerandomize(x, spec, rule_, seed=seed).draws_attempted - 1) // batch
             batches.add(b)
             drawn = [
-                kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_RERANDOMIZE, i), batch)
+                kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_RERANDOMIZE, i), batch).copy()
                 for i in range(b + 1)
             ]
             assert all(kernel.surviving(c).size == 0 for c in drawn[:b])

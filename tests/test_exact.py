@@ -168,9 +168,9 @@ def test_pure_collect_draws_uniformly_from_every_balanced_allocation(spec, per_a
     assert _uniform_on(everything, rows, per_allocation) > LEVEL
 
 
-def _few_keys(rng, rows, n):
+def _few_keys(rng, out):
     """Keys from a range so small that most rows tie somewhere, many at a cell edge."""
-    return rng.integers(0, 10, size=(rows, n), dtype=np.uint32)
+    out[...] = rng.integers(0, 10, size=out.shape, dtype=np.uint32)
 
 
 def _edge_tie(keys, spec):
@@ -183,7 +183,7 @@ def test_rows_that_tie_at_a_cell_edge_are_never_accepted(exact, monkeypatch):
     x, mm, accepted = exact
     monkeypatch.setattr(sampling, "random_keys", _few_keys)
     kernel = sampling.BalanceKernel(x, SPEC, mm, fit_covariance(x), resolve_thresholds(RULE))
-    keys = kernel.draw(np.random.default_rng(4), 2000)
+    keys = kernel.draw(np.random.default_rng(4), 2000).copy()
     tied = [_edge_tie(row, SPEC) for row in keys]
     assert 0.2 < np.mean(tied) < 0.9
     alive = kernel.surviving(keys)

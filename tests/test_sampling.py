@@ -1,8 +1,11 @@
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,7 +270,7 @@ def test_screen_matches_whole_batch_draw(k, r, joint, prob, limit, need, seed):
     # must give the same survivors.
     kernel.prob = prob
 
-    whole = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit)
+    whole = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit).copy()
     alive = kernel.surviving(whole)
     rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
     positions, rows = kernel.screen(rng, limit, need, lambda rows: rows)
@@ -292,7 +295,8 @@ def test_pure_stream_draws_the_first_rows_of_each_batch(kernel_setup, monkeypatc
         pure, lambda rows: rows, 7, sampling.PURPOSE_CALIBRATE, 75, 75, 2
     )
     whole = [
-        kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32) for b in range(3)
+        kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32).copy()
+        for b in range(3)
     ]
     assert np.array_equal(got, kernel.allocations(np.concatenate(whole))[:75])
     assert scanned == 75
@@ -302,11 +306,12 @@ def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
     spec, mm, x, kernel, _, _ = kernel_setup
     cap = sampling.MAX_CHUNK
     limit = 3 * cap + 37
-    whole = kernel.draw(sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0), limit)
+    whole = kernel.draw(sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0), limit).copy()
     alive = kernel.surviving(whole)
     batch, n = 2 * cap + 10, 3 * cap
     pure = kernel.allocations(np.concatenate([
-        kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_CALIBRATE, b), batch) for b in range(2)
+        kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_CALIBRATE, b), batch).copy()
+        for b in range(2)
     ])[:n])
     sizes = []
     draw = sampling.BalanceKernel.draw
@@ -345,13 +350,17 @@ def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
         assert np.array_equal(got, pure)
 
 
+def _paper_covariates():
+    return CovariateMatrix(
+        np.random.default_rng(43).normal(size=(1376, 9)), names=tuple(f"x{j}" for j in range(9))
+    )
+
+
 @pytest.fixture(scope="module")
 def paper_kernel():
     spec = DesignSpec(k=5, r=43)
     mm = expand_model_matrix(build_design_matrix(spec))
-    x = CovariateMatrix(
-        np.random.default_rng(43).normal(size=(spec.n, 9)), names=tuple(f"x{j}" for j in range(9))
-    )
+    x = _paper_covariates()
     rule = AcceptanceRule(
         tiers=(
             Tier("mains", ("A", "B", "C", "D", "E"), joint_prob=0.01),
@@ -361,6 +370,79 @@ def paper_kernel():
         p=9,
     )
     return sampling.BalanceKernel(x, spec, mm, fit_covariance(x), resolve_thresholds(rule))
+
+
+def test_paper_scale_screen_matches_the_screen_of_finished_allocations(paper_kernel):
+    # The hypothesis screen test stops at K <= 4, r <= 5; this is the paper's
+    # design and rule, whose first stage is scored from its median mask.
+    spec, mm = DesignSpec(k=5, r=43), paper_kernel.mm
+    x = _paper_covariates()
+    mains = ("A", "B", "C", "D", "E")
+    for seed in range(100):
+        keys = paper_kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), 64)
+        combos = paper_kernel.allocations(keys)
+        alive = paper_kernel.surviving(keys)
+        assert np.array_equal(alive, paper_kernel.passing(combos)), seed
+        block = paper_kernel.all_distances(combos, mains)
+        for i in {0, *alive.tolist()}:
+            w = expand_assignment(Allocation(spec=spec, combo_of_unit=combos[i]), mm)
+            profile = balance_profile(x, w, mains, cm=paper_kernel.cm)
+            for j, eff in enumerate(mains):
+                assert block[i, j] == pytest.approx(profile.m(eff), rel=1e-12), (seed, i, eff)
+
+
+FAULT_GUARD = """
+import resource
+import numpy as np
+from factorial_rerand import engine, simlab
+from factorial_rerand.balance import CovariateMatrix
+from factorial_rerand.criteria import AcceptanceRule, Tier
+from factorial_rerand.design import DesignSpec
+
+small = DesignSpec(k=2, r=8)
+x = CovariateMatrix(np.random.default_rng(1).normal(size=(small.n, 2)), names=("u", "v"))
+rule = AcceptanceRule(tiers=(Tier("mains", ("A", "B"), joint_prob=0.5),), p=2)
+obs = engine.rerandomize(x, small, rule, seed=0).allocation
+engine.randomization_test(x.entries.sum(axis=1), obs, x, rule, ("A",), n_draws=100, seed=0,
+                          workers=2)
+model = simlab.OutcomeModel(effects={"A": 1.0}, beta=np.ones(2), target_r2=0.5)
+simlab.variance_study(small, x, rule, model, n_reps=100, seed=0)
+
+spec = DesignSpec(k=5, r=43)
+x = CovariateMatrix(np.random.default_rng(2).normal(size=(spec.n, 9)),
+                    names=tuple(f"x{j}" for j in range(9)))
+rule = AcceptanceRule(
+    tiers=(Tier("mains", ("A", "B", "C", "D", "E"), joint_prob=0.01),
+           Tier("two_way", ("AB", "AC", "AD", "AE", "BC", "BD", "BE", "CD", "CE", "DE"),
+                joint_prob=0.1)),
+    p=9,
+)
+engine.rerandomize(x, spec, rule, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+# Kept, as a loop that collects its results keeps them: where they sit in
+# the heap decides what a freed block leaves at its top for glibc to trim.
+results = [engine.rerandomize(x, spec, rule, seed=seed) for seed in range(1, 31)]
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(results))
+"""
+
+
+def test_paper_scale_calls_fault_in_no_fresh_blocks():
+    # A chunk that allocates a block of glibc's mmap threshold (128 KB) or
+    # more gets it mapped fresh, or carved from a heap top that glibc trims
+    # again once enough is freed there, and faults its pages in anew: a
+    # 64-row paper-scale draw alone is 352 KB, about 88 pages, and an intp
+    # index over its rows twice that.  A fresh interpreter, so the count does
+    # not depend on the heap history of the tests run before this one.
+    pytest.importorskip("resource")  # the child process counts its faults with it
+    paths = [str(Path(sampling.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", FAULT_GUARD], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    # Measured on Linux (glibc, numpy 2.4): 12 to 22, moving with the heap
+    # layout the interpreter starts with; about 300 with a fresh median index
+    # per split, and about 480 with a fresh draw per chunk as well.
+    assert float(out.stdout) <= 50
 
 
 def test_long_rows_draw_fewer_rows_per_chunk(paper_kernel, monkeypatch):
@@ -398,7 +480,7 @@ def test_threads_scoring_one_kernel_get_the_serial_results(paper_kernel):
     # More threads than cores, on blocks of different sizes, so a sign
     # buffer or key buffer shared between threads would be overwritten
     # mid-score and regrown.
-    blocks = [paper_kernel.draw(np.random.default_rng(s), rows)
+    blocks = [paper_kernel.draw(np.random.default_rng(s), rows).copy()
               for s, rows in enumerate((8, 64, 64, 200))]
     combos = [paper_kernel.allocations(b) for b in blocks]
     serial = [
