@@ -318,15 +318,32 @@ def write_thresholds(path: str | Path, thresholds: dict[str, float], p: int) -> 
 
 
 def read_thresholds(path: str | Path) -> tuple[dict[str, float], int]:
+    """Thresholds and covariate count as ``write_thresholds`` wrote them.
+
+    Each threshold must be a JSON number and ``p`` a JSON integer of at
+    least 1; a bool, a string, ``NaN``, ``Infinity`` or a fractional ``p`` is
+    refused, not cast.
+    """
     payload = read_json(path)
-    try:
-        thresholds = {str(k): float(v) for k, v in payload["thresholds"].items()}
-        p = int(payload["p"])
-    except (KeyError, TypeError, ValueError, AttributeError):
+    thresholds, p = payload.get("thresholds"), payload.get("p")
+    if (
+        not isinstance(thresholds, dict)
+        or not all(_json_number(v) for v in thresholds.values())
+        or not (_json_number(p) and isinstance(p, int) and p >= 1)
+    ):
         raise ParseError(
-            f"{path}: expected keys 'thresholds' (name to number) and 'p'"
-        ) from None
-    return thresholds, p
+            f"{path}: expected keys 'thresholds' (name to number) and 'p' (an integer >= 1)"
+        )
+    return {k: float(v) for k, v in thresholds.items()}, p
+
+
+def _json_number(value: Any) -> bool:
+    """Whether a parsed JSON value is a finite number.
+
+    ``json`` parses true and false as bools, and NaN and Infinity, which JSON
+    has no tokens for, as floats.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def write_study_report(out_dir: str | Path, report: Any) -> list[Path]:

@@ -80,29 +80,26 @@ no slower.  Small designs keep 512-row chunks: a cap of a fixed byte size
 alone drew 11008-row blocks of 64 units, which fall out of cache, and
 shorter chunks of short rows pay more per-call overhead.
 
-Each thread keeps one buffer per kind of block, grown to the largest block
-it has used: the keys ``draw`` returns, the partitioned and then sorted
-keys, the keys of the rows that pass the first stage, the median index of a
-split, and the signs or masks a stage scores.  So ``draw`` returns a view
-that holds until the thread's next draw, and a screen allocates no block of
-a chunk's size.  That matters because of how glibc's malloc treats large
-blocks.  A block of its mmap threshold or more (128 KB to begin with) is
-mapped fresh, faulted in page by page, and unmapped when freed.  Freeing one
-raises the threshold to its size, and the heap's trim threshold to twice
-that; blocks under the threshold come from the heap, whose free top is
-handed back, and faulted in again, once it grows past the trim threshold.
-So whether a fresh block per chunk faults depends on what else the process
-frees: a 64-row paper-scale draw is 352 KB, and a first stage that gathered
-signs through uint8 representatives freed a 704 KB intp cast of them per
-chunk, which kept the threshold above the draw by accident.  Measured on
-Linux over paper-scale ``rerandomize`` calls whose results are kept: 12 to
-22 minor faults per call with every buffer kept, as with the sign gather,
-the count moving with the heap layout the interpreter starts with; about
-300 with a fresh median index per split, and about 480 with a fresh draw
-per chunk as well.  The key source, ``random_keys``, fills the kept buffer
-with at most ``RAW_PIECE`` raw outputs at a time, so it asks for no large
-block either; the package leaves the allocator's settings alone.  The
-buffers hold one step's values only; no result refers to them.
+``draw`` returns a fresh block of keys, the caller's own.  Past the draw,
+each thread keeps one buffer per kind of block, grown to the largest block
+it has used: the partitioned and then sorted keys, the keys of the rows that
+pass the first stage, the median index of a split, and the signs or masks a
+stage scores.  So a screen allocates no block of a chunk's size beyond its
+draw.  That matters because of how glibc's malloc treats large blocks.  A
+block of its mmap threshold or more (128 KB to begin with) is mapped fresh,
+faulted in page by page, and unmapped when freed.  Freeing one raises the
+threshold to its size, and the heap's trim threshold to twice that; blocks
+under the threshold come from the heap, whose free top is handed back, and
+faulted in again, once it grows past the trim threshold.  Measured on Linux
+over paper-scale ``rerandomize`` calls whose results are kept: 10 to 22
+minor faults per call when the draw too went into a kept buffer, the count
+moving with the heap layout the interpreter starts with; 35 to 41 with a
+fresh draw per chunk, since a freed draw raises the mmap threshold above a
+draw's size and later draws come from the heap; and about 1,100 with every
+block fresh.  A kept draw buffer, filled in pieces, saved those few faults
+and cost more than they did: a two-worker paper-scale randomization test
+ran 1.2x faster without it.  The package leaves the allocator's settings
+alone.  The buffers hold one step's values only; no result refers to them.
 """
 
 from __future__ import annotations
@@ -151,11 +148,6 @@ CHUNK_KEYS = 2**18
 # so that a batch rarely needs a second chunk.
 CHUNK_HEADROOM = 1.25
 
-# Most raw 64-bit outputs a draw asks its generator for at once (32 KB): a
-# request far below glibc's 128 KB mmap threshold is served from the heap
-# (see the module docstring).
-RAW_PIECE = 4096
-
 # Most worker threads a sampling stream may run.  Each keeps one batch in
 # flight, so this bounds both the threads started and the batches in memory.
 MAX_WORKERS = 64
@@ -180,18 +172,14 @@ def batch_rng(seed: int, purpose: int, batch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, batch)))
 
 
-def random_keys(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out``, a C-contiguous (rows, n) ``<u4`` block, with iid uniform 32-bit keys.
+def random_keys(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """A fresh C-contiguous (rows, n) ``<u4`` block of iid uniform 32-bit keys.
 
     Each row takes n/2 raw 64-bit outputs of ``rng``, read little-endian, so
-    the keys are the same on any host.  The outputs are asked for at most
-    ``RAW_PIECE`` at a time, which gives the sequence of one request for all
-    of them.
+    the keys are the same on any host.
     """
-    words = out.reshape(-1).view("<u8")
-    bits = rng.bit_generator
-    for start in range(0, words.size, RAW_PIECE):
-        words[start : start + RAW_PIECE] = bits.random_raw(min(RAW_PIECE, words.size - start))
+    raw = rng.bit_generator.random_raw(rows * n // 2).astype("<u8", copy=False)
+    return raw.view("<u4").reshape(rows, n)
 
 
 def ordered_parallel_map(
@@ -312,17 +300,15 @@ class BalanceKernel:
     combination each cell of units ends in (see the module docstring).
 
     Thread-safe: the covariates, lookups, plan and thresholds are read-only,
-    and the only scratch is per thread (a ``threading.local``): the draw,
-    key and sign buffers, which a step overwrites, and the allocations
+    and the only scratch is per thread (a ``threading.local``): the key and
+    sign buffers, which a step overwrites, and the allocations
     ``surviving`` hands to ``screen``.  So one kernel may serve many calls
     and threads.  ``engine._prepare`` builds every kernel the package uses
     and keeps one per covariates object, design and rule; pure draws and
     calibration use the one with no rule, whose thresholds are empty.  A
     kernel holds no reference to the covariates object it was built from.
-    ``allocations``, ``mean_diffs`` and the screens return fresh arrays,
-    valid across later calls on any thread.  ``draw`` does not: its rows are
-    this thread's kept draw buffer, valid until the thread's next ``draw``,
-    so a caller that holds a draw across another copies it.
+    ``draw``, ``allocations``, ``mean_diffs`` and the screens return fresh
+    arrays, valid across later calls on any thread.
     """
 
     def __init__(
@@ -414,14 +400,8 @@ class BalanceKernel:
         return buf[:rows]
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` rows of n iid uniform 32-bit keys (``random_keys``), one row per candidate.
-
-        The rows are this thread's kept draw buffer: they hold until the
-        thread's next ``draw`` on this kernel.
-        """
-        keys = self._kept("draw", size, np.dtype("<u4"))
-        random_keys(rng, keys)
-        return keys
+        """``size`` rows of n iid uniform 32-bit keys (``random_keys``), one row per candidate."""
+        return random_keys(rng, size, self.n)
 
     def allocations(self, keys: np.ndarray) -> np.ndarray:
         """(rows, n) combination indices of the allocations rows of keys split to.

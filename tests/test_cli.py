@@ -275,6 +275,8 @@ def allocated(runner, workdir):
     assert runner.invoke(main, ["allocate", "--config", str(tmp_path / "run.json")]).exit_code == 0
     y = np.random.default_rng(9).normal(size=32)
     fileio.write_outcomes(tmp_path / "y.csv", y)
+    # A thresholds file whose A threshold is a JSON true, for MALFORMED.
+    (tmp_path / "bool_thresholds.json").write_text('{"p": 2, "thresholds": {"A": true}}')
     return tmp_path, cfg
 
 
@@ -354,6 +356,7 @@ MALFORMED = [
     ("simulate", ("simulation", "model", "effects"), {"A": True}, []),
     ("simulate", ("simulation", "model", "beta"), [True, 1.0], []),
     ("simulate", ("simulation", "model", "grand_mean"), True, []),
+    ("allocate", ("rule",), {"mode": "empirical", "thresholds_path": "bool_thresholds.json"}, []),
 ]
 
 

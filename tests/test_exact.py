@@ -21,6 +21,7 @@ from factorial_rerand.balance import CovariateMatrix, fit_covariance
 from factorial_rerand.criteria import AcceptanceRule, Tier, chi2_cdf, resolve_thresholds
 from factorial_rerand.design import DesignSpec, build_design_matrix, expand_model_matrix
 from factorial_rerand.engine import randomization_test, rerandomize
+from factorial_rerand.simlab import variance_study
 
 SPEC = DesignSpec(k=2, r=2)
 RULE = AcceptanceRule(tiers=(Tier("mains", ("A", "B"), joint_prob=0.5),), p=2)
@@ -36,6 +37,9 @@ DRAWS_PER_ALLOCATION = 40
 DRAWS_PER_ALLOCATION3 = 10
 # Binomial standard errors a Monte Carlo p-value may stray from the exact one.
 P_VALUE_SE = 5.0
+# Standard errors a sample variance may stray from the exact one: two-sided,
+# 6.3e-5 a comparison under normality, under LEVEL over the twelve below.
+VARIANCE_Z = 4.0
 
 
 def _uniform_on(accepted, rows, per_allocation):
@@ -111,6 +115,29 @@ def test_randomization_test_p_values_match_the_exact_conditional_p_values(exact)
             assert abs(result.p_value(lab) - p) <= bound, (seed, lab, p)
 
 
+def test_variance_study_matches_the_exact_variances(exact):
+    # Every effect's covariate mean difference on every allocation, by group
+    # means; its exact variance over the accepted set and over all of them.
+    x, mm, accepted = exact
+    n_reps = 20000
+    everything = np.array(balanced_allocations(SPEC.k, SPEC.r))
+    is_accepted = np.array([a in accepted for a in map(tuple, everything.tolist())])
+    report = variance_study(SPEC, x, RULE, None, n_reps=n_reps, seed=11)
+    for i, label in enumerate(report.effect_labels):
+        signs = mm.column(label)[everything - 1]
+        d = ((signs > 0) @ x.entries - (signs < 0) @ x.entries) / (SPEC.n / 2)
+        for sampled, rows in (
+            (report.d_var_accepted[i], d[is_accepted]),
+            (report.d_var_pure[i], d),
+        ):
+            dev = rows - rows.mean(axis=0)
+            var, fourth = (dev**2).mean(axis=0), (dev**4).mean(axis=0)
+            # The variance of a sample variance of n_reps iid draws.
+            se = np.sqrt((fourth - var**2 * (n_reps - 3) / (n_reps - 1)) / n_reps)
+            z = (sampled - var) / se
+            assert np.all(np.abs(z) <= VARIANCE_Z), (label, z)
+
+
 @pytest.fixture(scope="module")
 def exact3():
     x = CovariateMatrix(np.random.default_rng(40320).normal(size=(SPEC3.n, 2)), names=("x1", "x2"))
@@ -168,9 +195,9 @@ def test_pure_collect_draws_uniformly_from_every_balanced_allocation(spec, per_a
     assert _uniform_on(everything, rows, per_allocation) > LEVEL
 
 
-def _few_keys(rng, out):
+def _few_keys(rng, rows, n):
     """Keys from a range so small that most rows tie somewhere, many at a cell edge."""
-    out[...] = rng.integers(0, 10, size=out.shape, dtype=np.uint32)
+    return rng.integers(0, 10, size=(rows, n), dtype=np.uint32)
 
 
 def _edge_tie(keys, spec):
@@ -183,7 +210,7 @@ def test_rows_that_tie_at_a_cell_edge_are_never_accepted(exact, monkeypatch):
     x, mm, accepted = exact
     monkeypatch.setattr(sampling, "random_keys", _few_keys)
     kernel = sampling.BalanceKernel(x, SPEC, mm, fit_covariance(x), resolve_thresholds(RULE))
-    keys = kernel.draw(np.random.default_rng(4), 2000).copy()
+    keys = kernel.draw(np.random.default_rng(4), 2000)
     tied = [_edge_tie(row, SPEC) for row in keys]
     assert 0.2 < np.mean(tied) < 0.9
     alive = kernel.surviving(keys)

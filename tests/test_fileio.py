@@ -133,9 +133,27 @@ def test_thresholds_round_trip(tmp_path):
     thresholds, p = fileio.read_thresholds(path)
     assert thresholds == {"A": 1.25, "AB": 2.5}
     assert p == 4
-    path.write_text('{"thresholds": 5}')
-    with pytest.raises(ParseError):
-        fileio.read_thresholds(path)
+    # JSON integer thresholds are numbers too.
+    path.write_text('{"p": 2, "thresholds": {"A": 3}}')
+    assert fileio.read_thresholds(path) == ({"A": 3.0}, 2)
+    # Nothing is cast: a bool is no threshold, a string no number, and p
+    # counts covariates.
+    for bad in (
+        '{"thresholds": 5}',
+        '{"p": 2, "thresholds": {"A": true}}',
+        '{"p": 2, "thresholds": {"A": "3.0"}}',
+        '{"p": 2, "thresholds": {"A": null}}',
+        '{"p": 2, "thresholds": {"A": Infinity}}',
+        '{"p": 2.9, "thresholds": {"A": 3.0}}',
+        '{"p": 2.0, "thresholds": {"A": 3.0}}',
+        '{"p": "2", "thresholds": {"A": 3.0}}',
+        '{"p": true, "thresholds": {"A": 3.0}}',
+        '{"p": 0, "thresholds": {"A": 3.0}}',
+        '{"thresholds": {"A": 3.0}}',
+    ):
+        path.write_text(bad)
+        with pytest.raises(ParseError):
+            fileio.read_thresholds(path)
 
 
 def test_read_json_errors(tmp_path):

@@ -109,6 +109,17 @@ def test_kernel_draw_rows_are_balanced(kernel_setup):
         assert np.bincount(row, minlength=5)[1:].tolist() == [4, 4, 4, 4]
 
 
+def test_a_draw_belongs_to_its_caller(kernel_setup):
+    # A later draw on the same thread and kernel leaves an earlier one as it was.
+    kernel = kernel_setup[3]
+    first = kernel.draw(np.random.default_rng(2), 40)
+    kept = first.copy()
+    second = kernel.draw(np.random.default_rng(3), 40)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(first, kernel.draw(np.random.default_rng(2), 40))
+
+
 def test_kernel_matches_reference_path(kernel_setup):
     spec, mm, x, kernel, rule, thresholds = kernel_setup
     keys = kernel.draw(np.random.default_rng(1), 32)
@@ -270,7 +281,7 @@ def test_screen_matches_whole_batch_draw(k, r, joint, prob, limit, need, seed):
     # must give the same survivors.
     kernel.prob = prob
 
-    whole = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit).copy()
+    whole = kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), limit)
     alive = kernel.surviving(whole)
     rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
     positions, rows = kernel.screen(rng, limit, need, lambda rows: rows)
@@ -295,7 +306,7 @@ def test_pure_stream_draws_the_first_rows_of_each_batch(kernel_setup, monkeypatc
         pure, lambda rows: rows, 7, sampling.PURPOSE_CALIBRATE, 75, 75, 2
     )
     whole = [
-        kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32).copy()
+        kernel.draw(sampling.batch_rng(7, sampling.PURPOSE_CALIBRATE, b), 32)
         for b in range(3)
     ]
     assert np.array_equal(got, kernel.allocations(np.concatenate(whole))[:75])
@@ -306,11 +317,11 @@ def test_no_draw_exceeds_max_chunk(kernel_setup, monkeypatch):
     spec, mm, x, kernel, _, _ = kernel_setup
     cap = sampling.MAX_CHUNK
     limit = 3 * cap + 37
-    whole = kernel.draw(sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0), limit).copy()
+    whole = kernel.draw(sampling.batch_rng(5, sampling.PURPOSE_REFERENCE, 0), limit)
     alive = kernel.surviving(whole)
     batch, n = 2 * cap + 10, 3 * cap
     pure = kernel.allocations(np.concatenate([
-        kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_CALIBRATE, b), batch).copy()
+        kernel.draw(sampling.batch_rng(9, sampling.PURPOSE_CALIBRATE, b), batch)
         for b in range(2)
     ])[:n])
     sizes = []
@@ -429,19 +440,21 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(result
 def test_paper_scale_calls_fault_in_no_fresh_blocks():
     # A chunk that allocates a block of glibc's mmap threshold (128 KB) or
     # more gets it mapped fresh, or carved from a heap top that glibc trims
-    # again once enough is freed there, and faults its pages in anew: a
-    # 64-row paper-scale draw alone is 352 KB, about 88 pages, and an intp
-    # index over its rows twice that.  A fresh interpreter, so the count does
-    # not depend on the heap history of the tests run before this one.
+    # again once enough is freed there, and faults its pages in anew: an
+    # intp index over a 64-row paper-scale chunk is 704 KB, about 176 pages.
+    # The draw itself, 352 KB, is fresh per chunk: a freed block of that size
+    # raises glibc's mmap threshold above it, so later draws reuse heap pages.
+    # A fresh interpreter, so the count does not depend on the heap history
+    # of the tests run before this one.
     pytest.importorskip("resource")  # the child process counts its faults with it
     paths = [str(Path(sampling.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", FAULT_GUARD], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    # Measured on Linux (glibc, numpy 2.4): 12 to 22, moving with the heap
-    # layout the interpreter starts with; about 300 with a fresh median index
-    # per split, and about 480 with a fresh draw per chunk as well.
+    # Measured on Linux (glibc, numpy 2.4): 35 to 41 with a fresh draw per
+    # chunk, against 10 to 22 when the draw went into a kept buffer too; about
+    # 1,100 with every block fresh.
     assert float(out.stdout) <= 50
 
 
@@ -480,7 +493,7 @@ def test_threads_scoring_one_kernel_get_the_serial_results(paper_kernel):
     # More threads than cores, on blocks of different sizes, so a sign
     # buffer or key buffer shared between threads would be overwritten
     # mid-score and regrown.
-    blocks = [paper_kernel.draw(np.random.default_rng(s), rows).copy()
+    blocks = [paper_kernel.draw(np.random.default_rng(s), rows)
               for s, rows in enumerate((8, 64, 64, 200))]
     combos = [paper_kernel.allocations(b) for b in blocks]
     serial = [
