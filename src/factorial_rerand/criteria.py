@@ -177,8 +177,6 @@ def variance_factor(p: int, a: float) -> VarianceFactor:
     p = _check_df(p)
     if a <= 0:
         raise ValueError(f"threshold must be positive, got {a}")
-    if math.isinf(a):
-        return VarianceFactor(p=p, threshold=a, value=1.0)
     num = reg_lower_incomplete_gamma(p / 2.0 + 1.0, a / 2.0)
     den = reg_lower_incomplete_gamma(p / 2.0, a / 2.0)
     if den == 0.0:
@@ -223,8 +221,8 @@ class Tier:
         if (self.a is None) == (self.joint_prob is None):
             raise ValueError(f"tier {self.name!r} needs exactly one of a threshold or a joint probability")
         # float(True) is 1.0: a JSON true would run as threshold 1.
-        if self.a is not None and (isinstance(self.a, bool) or not self.a > 0):
-            raise ValueError(f"tier {self.name!r}: threshold must be a positive number, got {self.a!r}")
+        if self.a is not None and (isinstance(self.a, bool) or not 0 < self.a < math.inf):
+            raise ValueError(f"tier {self.name!r}: threshold must be a positive finite number, got {self.a!r}")
         if self.joint_prob is not None and not 0.0 < self.joint_prob < 1.0:
             raise ValueError(
                 f"tier {self.name!r}: joint probability must be in (0, 1), got {self.joint_prob}"
@@ -299,7 +297,7 @@ def acceptance_probability(thresholds: Mapping[str, float], p: int) -> float:
     """Product of per-effect chi-squared acceptance probabilities (1 for no thresholds)."""
     prob = 1.0
     for a in thresholds.values():
-        prob *= chi2_cdf(p, a) if not math.isinf(a) else 1.0
+        prob *= chi2_cdf(p, a)
     return prob
 
 

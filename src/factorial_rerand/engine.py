@@ -308,22 +308,23 @@ class RandomizationTestResult:
 def _null_summary(null_stats: np.ndarray, labels: tuple[str, ...]) -> dict[str, dict[str, float]]:
     """Mean, sd and 2.5/50/97.5 % quantiles of each column of a (draws, effects) table.
 
-    One ``quantile`` call sorts every column; each column's quantiles equal a
-    call on that column alone.  Means stay per column: an axis-0 mean sums in
-    another order and can round differently in the last bit.
+    One sort of a transposed copy serves every quantile, interpolated as
+    ``np.quantile``'s ``linear`` method does (numpy's ``_lerp``, ``t >= 0.5``
+    branch included).  Each row sums as a column does: every value has the
+    bits of a call on its column alone.
     """
-    q = np.quantile(null_stats, [0.025, 0.5, 0.975], axis=0)
-    summary: dict[str, dict[str, float]] = {}
-    for j, lab in enumerate(labels):
-        col = null_stats[:, j]
-        summary[lab] = {
-            "mean": float(col.mean()),
-            "sd": float(col.std(ddof=1)),
-            "q025": float(q[0, j]),
-            "median": float(q[1, j]),
-            "q975": float(q[2, j]),
-        }
-    return summary
+    cols = null_stats.T.copy()
+    means, sds = cols.mean(axis=1), cols.std(axis=1, ddof=1)
+    cols.sort(axis=1)
+    at = (cols.shape[1] - 1) * np.array([0.025, 0.5, 0.975])
+    below = at.astype(np.intp)
+    t, lo, hi = at - below, cols[:, below], cols[:, below + 1]
+    q = np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
+    # NaN sorts last, and ``np.quantile`` gives NaN for a column holding one.
+    q[np.isnan(cols[:, -1])] = np.nan
+    fields = ("mean", "sd", "q025", "median", "q975")
+    rows = np.column_stack((means, sds, q)).tolist()
+    return {lab: dict(zip(fields, row)) for lab, row in zip(labels, rows)}
 
 
 def randomization_test(
@@ -353,7 +354,7 @@ def randomization_test(
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise DimensionMismatch(f"outcomes have shape {y.shape}, expected ({spec.n},)")
     labels = check_effects(effects, mm.effect_labels)
-    if kernel.passing(alloc_obs.combo_of_unit[None, :]).size == 0:
+    if kernel.surviving(kernel.keys_of(alloc_obs.combo_of_unit[None, :])).size == 0:
         raise ValueError(
             "observed allocation fails the acceptance rule; the reference "
             "distribution would not contain it"

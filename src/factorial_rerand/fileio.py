@@ -293,16 +293,21 @@ def _jsonable(obj: Any) -> Any:
 
 
 def write_json(path: str | Path, payload: dict[str, Any]) -> None:
+    """Write ``payload`` as strict JSON; a NaN or infinity raises ValueError and writes nothing."""
+    text = json.dumps(payload, indent=2, default=_jsonable, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=_jsonable)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path: str | Path) -> dict[str, Any]:
     path = Path(path)
+
+    def refuse(token: str) -> float:  # NaN, Infinity or -Infinity, which Python's json reads
+        raise ParseError(f"{path}: {token} is not a JSON number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -340,8 +345,8 @@ def read_thresholds(path: str | Path) -> tuple[dict[str, float], int]:
 def _json_number(value: Any) -> bool:
     """Whether a parsed JSON value is a finite number.
 
-    ``json`` parses true and false as bools, and NaN and Infinity, which JSON
-    has no tokens for, as floats.
+    ``json`` parses true and false as bools, and a number too large for a
+    float, such as 1e999, as infinity.
     """
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 

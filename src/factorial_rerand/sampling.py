@@ -43,10 +43,10 @@ read off the sorted keys.  A later main effect is scored from the
 comparison mask its own split computes.  An interaction is scored on each
 unit's representative combination: its split factors at their levels, the
 others low, which gives the effect its final signs.  So every distance has
-the bits it has on the finished allocation as ``passing`` scores it, which
-takes each main effect's mask from the finished combinations.  A row that
-fails the first main effect costs one partition instead of a sort and a
-whole allocation.
+the bits the tests' oracle (``passing`` in ``tests/oracles.py``) gets from
+``all_distances`` on the finished allocation, which takes each main effect's
+mask from the finished combinations.  A row that fails the first main
+effect costs one partition instead of a sort and a whole allocation.
 Survivors are finished into combination rows: when every factor was split,
 their representatives are those rows, otherwise ``allocations`` finishes
 them, and it finishes a pure draw's rows, with one sort and one scatter.
@@ -59,13 +59,14 @@ are drawn, never which candidates exist or which one wins.
 
 Every accepted draw is collected through one sampler (``collect``), and
 ``BalanceKernel.screen`` is the only judge of acceptance: nothing scores a
-survivor again to decide whether it counts.  ``rerandomize`` is ``collect``
-of one draw in ``ENGINE_BATCH``-row batches; tables use ``STUDY_BATCH``-row
-batches.  Pure randomization is the rejection sampler with a rule that
-accepts every draw: a kernel with no thresholds screens nothing, and a pure
-draw comes in the same chunks as any other screen.  That kernel is prepared
-like any other, by ``engine._prepare(x, spec)`` with no rule, and cached for
-the covariates and design.
+survivor again to decide whether it counts, and an observed allocation is
+vetted by the same screen on its keys (``keys_of``).  ``rerandomize`` is
+``collect`` of one draw in ``ENGINE_BATCH``-row batches; tables use
+``STUDY_BATCH``-row batches.  Pure randomization is the rejection sampler
+with a rule that accepts every draw: a kernel with no thresholds screens
+nothing, and a pure draw comes in the same chunks as any other screen.  That
+kernel is prepared like any other, by ``engine._prepare(x, spec)`` with no
+rule, and cached for the covariates and design.
 
 Every draw is at most ``MAX_CHUNK`` rows, and at most ``CHUNK_KEYS`` keys
 unless that would be under ``MIN_CHUNK`` rows.  The cap depends only on the
@@ -307,8 +308,8 @@ class BalanceKernel:
     and keeps one per covariates object, design and rule; pure draws and
     calibration use the one with no rule, whose thresholds are empty.  A
     kernel holds no reference to the covariates object it was built from.
-    ``draw``, ``allocations``, ``mean_diffs`` and the screens return fresh
-    arrays, valid across later calls on any thread.
+    ``draw``, ``allocations``, ``keys_of``, ``mean_diffs`` and the screens
+    return fresh arrays, valid across later calls on any thread.
     """
 
     def __init__(
@@ -355,9 +356,9 @@ class BalanceKernel:
         # (c+1)*r - 1; the bits of c, first split most significant, are its
         # factor levels in split order (1 = high).
         high = np.column_stack([mm.entries[:, mm.factor_sets.index((f,))] > 0 for f in order])
-        cell_of_combo = high.astype(np.intp) @ (1 << np.arange(mm.k - 1, -1, -1))
+        self._cell_of_combo = high.astype(np.intp) @ (1 << np.arange(mm.k - 1, -1, -1))
         combo_of_cell = np.empty(mm.n_combinations, dtype=np.intp)
-        combo_of_cell[cell_of_combo] = np.arange(1, mm.n_combinations + 1)
+        combo_of_cell[self._cell_of_combo] = np.arange(1, mm.n_combinations + 1)
         # The combination of the unit whose key ranks j-th.
         self._ranked = np.repeat(combo_of_cell, spec.r)
         # After l splits, the representative of cell c is the combination with
@@ -412,6 +413,17 @@ class BalanceKernel:
         replaces it.
         """
         return self._finish(keys)[0]
+
+    def keys_of(self, combos: np.ndarray) -> np.ndarray:
+        """Rows of keys that ``allocations`` splits to the given balanced rows of combinations.
+
+        Each unit's key is its rank with the units ordered by split-order
+        cell, then by unit: cell c holds the keys c*r to c*r + r - 1.  The keys
+        are distinct, so no row ties at a cell edge, and ``surviving`` screens
+        the allocation itself.
+        """
+        cells = self._cell_of_combo.take(combos - 1)
+        return cells.argsort(axis=1, kind="stable").argsort(axis=1).astype(np.uint32)
 
     def _finish(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``allocations(keys)`` and the mask of the rows that tie at a cell edge.
@@ -487,26 +499,6 @@ class BalanceKernel:
         """Squared distances of a main effect from rows of 0/1 masks in this thread's sign buffer."""
         return squared_distance(mask_diff_block(mask, self.white), self.n)
 
-    def passing(self, combos: np.ndarray) -> np.ndarray:
-        """Indices (ascending) of combination rows passing every monitored threshold.
-
-        It has two roles: ``randomization_test`` vets the observed allocation
-        with it, and it is the reference that ``surviving``'s key-split screen
-        must match bit for bit on the finished allocations of the same keys.
-        It scores each effect with ``_distances``: a main effect from the 0/1
-        mask of its high level, gathered from the finished combinations into
-        the sign buffer, as ``surviving`` scores it from the comparison mask
-        of its split; an interaction from its signs.  Each stage scores the
-        rows the stages before it passed, the blocks ``surviving`` scores.
-        """
-        alive = np.arange(combos.shape[0])
-        for label in self.screen_order:
-            if alive.size == 0:
-                break
-            keep = self._distances(combos, label) <= self.thresholds[label]
-            alive, combos = alive[keep], combos[keep]
-        return alive
-
     def surviving(self, keys: np.ndarray) -> np.ndarray:
         """Indices (ascending) of rows of keys whose allocations pass every threshold.
 
@@ -518,9 +510,10 @@ class BalanceKernel:
         its effect needs, then scores a main effect from the comparison mask
         of its split, and an interaction on each unit's representative
         combination, read off the unit's cell.  Either way the effect has its
-        final levels, so the distances are the bits ``passing`` computes on
-        ``allocations(keys)``, in the same blocks, and a row that fails is
-        split no further.  A row that ties at a cell edge is rejected.
+        final levels, so the distances are the bits that the tests' oracle
+        gets from ``all_distances`` on ``allocations(keys)`` in the same
+        blocks, and a row that fails is split no further.  A row that ties
+        at a cell edge is rejected.
 
         Once every factor is split, the representatives of the rows returned
         are their allocations.  They stay in the thread's scratch, with the

@@ -56,8 +56,6 @@ class OutcomeModel:
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)
         if beta.ndim != 1:
             raise DimensionMismatch(f"beta must be 1-d, got shape {beta.shape}")
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("beta must be finite")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         if not isinstance(self.effects, Mapping):
@@ -67,10 +65,12 @@ class OutcomeModel:
                 raise ValueError(f"effect size for {name!r} must be a number, got {size!r}")
         object.__setattr__(self, "effects", {str(k): float(v) for k, v in self.effects.items()})
         object.__setattr__(self, "grand_mean", float(self.grand_mean))
+        if not np.all(np.isfinite([*beta, self.grand_mean, *self.effects.values()])):
+            raise ValueError("beta, grand_mean and effect sizes must be finite")
         if (self.sigma is None) == (self.target_r2 is None):
             raise ValueError("give exactly one of sigma or target_r2")
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if self.sigma is not None and not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.target_r2 is not None and not 0.0 <= self.target_r2 < 1.0:
             raise ValueError(f"target R^2 must be in [0, 1), got {self.target_r2}")
 

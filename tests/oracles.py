@@ -9,6 +9,8 @@ half-integer gamma recursion, not from any library special function.
 
 Balanced allocations come from routes of their own too: a Fisher-Yates
 shuffle of the combination multiset, and a full enumeration for small designs.
+The acceptance screen has a reference too: ``passing`` screens finished
+allocations effect by effect, with no key splits.
 """
 
 from __future__ import annotations
@@ -75,6 +77,23 @@ def shuffled_allocation(spec: DesignSpec, rng: np.random.Generator) -> Allocatio
     """
     combos = np.repeat(np.arange(1, spec.n_combinations + 1), spec.r)
     return Allocation(spec, rng.permutation(combos))
+
+
+def passing(kernel, combos: np.ndarray) -> np.ndarray:
+    """Indices (ascending) of rows of combinations that pass every threshold of ``kernel``.
+
+    The reference that ``BalanceKernel.surviving`` must match bit for bit on
+    the finished allocations of the same keys.  Each effect in
+    ``screen_order`` is scored with the public ``all_distances`` on the rows
+    the stages before it passed, the blocks ``surviving`` scores.
+    """
+    alive = np.arange(combos.shape[0])
+    for label in kernel.screen_order:
+        if alive.size == 0:
+            break
+        keep = kernel.all_distances(combos, [label])[:, 0] <= kernel.thresholds[label]
+        alive, combos = alive[keep], combos[keep]
+    return alive
 
 
 def balanced_allocations(k: int, r: int) -> list[tuple[int, ...]]:

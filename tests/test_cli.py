@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import threading
 
@@ -357,6 +358,15 @@ MALFORMED = [
     ("simulate", ("simulation", "model", "beta"), [True, 1.0], []),
     ("simulate", ("simulation", "model", "grand_mean"), True, []),
     ("allocate", ("rule",), {"mode": "empirical", "thresholds_path": "bool_thresholds.json"}, []),
+    # NaN, Infinity and -Infinity are tokens Python's json reads, not JSON numbers.
+    ("allocate", ("rule", "tiers", 0), {"name": "mains", "effects": ["A", "B"], "a": math.inf}, []),
+    ("simulate", ("simulation", "model"),
+     {"effects": {"A": 1.5}, "beta": [1.0, 1.0], "sigma": math.inf}, []),
+    ("simulate", ("simulation", "model"),
+     {"effects": {"A": 1.5}, "beta": [1.0, 1.0], "sigma": math.nan}, []),
+    ("simulate", ("simulation", "model", "effects"), {"A": math.inf}, []),
+    ("simulate", ("simulation", "model", "grand_mean"), math.nan, []),
+    ("simulate", ("simulation", "model", "grand_mean"), -math.inf, []),
 ]
 
 
@@ -467,7 +477,7 @@ def _node_paths(node, prefix=()):
 
 MUTATION = st.tuples(
     st.sampled_from(sorted(_node_paths(CONFIG), key=repr)),
-    st.sampled_from([DROP, None, True, -1, 0, 2.5, "x", [], {}]),
+    st.sampled_from([DROP, None, True, -1, 0, 2.5, math.nan, math.inf, "x", [], {}]),
 )
 
 
@@ -489,3 +499,12 @@ def test_mutated_config_exits_with_a_documented_code(runner, allocated, mutation
     for command in ("allocate", "test", "simulate"):
         result = runner.invoke(main, _command_args(command, tmp_path))
         _assert_clean_exit(result, {0, 2, 3, 4, 5, 6})
+        if result.exit_code == 0:
+            # Every JSON file the commands wrote is strict JSON.
+            for path in tmp_path.rglob("*.json"):
+                if path.name != "run.json":
+                    json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"{token} is not JSON")

@@ -140,8 +140,9 @@ def test_tier_requires_exactly_one_criterion():
         Tier("t", ("A",))
     with pytest.raises(ValueError):
         Tier("t", ("A",), a=2.0, joint_prob=0.1)
-    with pytest.raises(ValueError):
-        Tier("t", ("A",), a=0.0)
+    for a in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Tier("t", ("A",), a=a)
     with pytest.raises(ValueError):
         Tier("t", ("A",), joint_prob=1.0)
     with pytest.raises(ValueError):

@@ -164,12 +164,20 @@ def test_read_json_errors(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ParseError, match="object"):
         fileio.read_json(path)
+    # Python's json reads these tokens, which JSON has not got.
+    for token in ("NaN", "Infinity", "-Infinity"):
+        path.write_text(f'{{"a": [1.0, {token}]}}')
+        with pytest.raises(ParseError, match=f"{token} is not a JSON number"):
+            fileio.read_json(path)
 
 
 def test_write_json_handles_numpy_scalars(tmp_path):
     path = tmp_path / "x.json"
     fileio.write_json(path, {"a": np.float64(1.5), "b": np.int32(2), "c": np.arange(3)})
     assert fileio.read_json(path) == {"a": 1.5, "b": 2, "c": [0, 1, 2]}
+    for value in (np.nan, np.float64(np.inf), -np.inf):
+        with pytest.raises(ValueError):
+            fileio.write_json(path, {"a": value})
 
 
 # Tables as a cell-by-cell writer puts them: ``csv.writer`` with ``repr`` of

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import mahalanobis_direct
+from oracles import mahalanobis_direct, passing, shuffled_allocation
 from factorial_rerand import engine, sampling
 from factorial_rerand.assignment import Allocation, expand_assignment
 from factorial_rerand.balance import CovariateMatrix, balance_profile, fit_covariance
@@ -127,7 +127,7 @@ def test_kernel_matches_reference_path(kernel_setup):
     effects = ("A", "B", "AB")
     m_block = kernel.all_distances(combos, effects)
     survivors = kernel.surviving(keys)
-    assert np.array_equal(survivors, kernel.passing(combos))
+    assert np.array_equal(survivors, passing(kernel, combos))
     for i in range(32):
         alloc = Allocation(spec=spec, combo_of_unit=combos[i])
         w = expand_assignment(alloc, mm)
@@ -238,10 +238,11 @@ def test_factor_by_factor_screen_matches_the_screen_of_finished_allocations(
     combos = kernel.allocations(keys)
     for row in combos:
         assert np.all(np.bincount(row, minlength=spec.n_combinations + 1)[1:] == r)
+    assert np.array_equal(kernel.allocations(kernel.keys_of(combos)), combos)
     # Splitting only as far as each stage needs scores every effect on its
     # final signs, in the blocks a screen of the finished rows uses.
     alive = kernel.surviving(keys)
-    assert np.array_equal(alive, kernel.passing(combos))
+    assert np.array_equal(alive, passing(kernel, combos))
     rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
     positions, rows = kernel.screen(rng, 96, 96, lambda rows: rows)
     assert np.array_equal(positions, alive)
@@ -392,14 +393,55 @@ def test_paper_scale_screen_matches_the_screen_of_finished_allocations(paper_ker
     for seed in range(100):
         keys = paper_kernel.draw(sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0), 64)
         combos = paper_kernel.allocations(keys)
+        assert np.array_equal(paper_kernel.allocations(paper_kernel.keys_of(combos)), combos), seed
         alive = paper_kernel.surviving(keys)
-        assert np.array_equal(alive, paper_kernel.passing(combos)), seed
+        assert np.array_equal(alive, passing(paper_kernel, combos)), seed
         block = paper_kernel.all_distances(combos, mains)
         for i in {0, *alive.tolist()}:
             w = expand_assignment(Allocation(spec=spec, combo_of_unit=combos[i]), mm)
             profile = balance_profile(x, w, mains, cm=paper_kernel.cm)
             for j, eff in enumerate(mains):
                 assert block[i, j] == pytest.approx(profile.m(eff), rel=1e-12), (seed, i, eff)
+
+
+def test_the_vet_by_keys_agrees_with_the_oracle(kernel_setup, paper_kernel):
+    # randomization_test vets its observed allocation alone, through the keys
+    # it splits from: shuffled and accepted rows, each judged on its own.
+    for kernel, spec in ((kernel_setup[3], kernel_setup[0]), (paper_kernel, DesignSpec(k=5, r=43))):
+        rng = np.random.default_rng(17)
+        shuffled = [shuffled_allocation(spec, rng).combo_of_unit for _ in range(300)]
+        rng = sampling.batch_rng(17, sampling.PURPOSE_REFERENCE, 0)
+        _, accepted = kernel.screen(rng, 50_000, 10, lambda rows: rows)
+        assert accepted.shape[0] >= 10
+        verdicts = []
+        for row in [*shuffled, *accepted]:
+            keys = kernel.keys_of(row[None, :])
+            assert np.array_equal(kernel.allocations(keys), row[None, :])
+            verdicts.append(kernel.surviving(keys).size == 1)
+            assert verdicts[-1] == (passing(kernel, row[None, :]).size == 1)
+        assert all(verdicts[300:]) and not all(verdicts[:300])
+
+
+def test_a_vet_leaves_the_next_screen_on_its_thread_as_a_fresh_thread_finds_it(kernel_setup):
+    # The vet leaves its finished row in the thread's scratch, where
+    # ``surviving`` hands rows to ``screen``.
+    kernel = kernel_setup[3]
+    _, accepted = kernel.screen(np.random.default_rng(4), 512, 1, lambda rows: rows)
+
+    def run(seed):
+        rng = sampling.batch_rng(seed, sampling.PURPOSE_REFERENCE, 0)
+        return kernel.screen(rng, 300, 300, lambda rows: rows)
+
+    for seed in range(5):
+        fresh = []
+        worker = threading.Thread(target=lambda: fresh.append(run(seed)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and fresh
+        assert kernel.surviving(kernel.keys_of(accepted[:1])).size == 1
+        positions, rows = run(seed)
+        assert np.array_equal(positions, fresh[0][0])
+        assert np.array_equal(rows, fresh[0][1])
 
 
 FAULT_GUARD = """
@@ -437,7 +479,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(result
 """
 
 
-def test_paper_scale_calls_fault_in_no_fresh_blocks():
+def test_paper_scale_calls_take_few_minor_faults_with_a_fresh_draw_per_chunk():
     # A chunk that allocates a block of glibc's mmap threshold (128 KB) or
     # more gets it mapped fresh, or carved from a heap top that glibc trims
     # again once enough is freed there, and faults its pages in anew: an

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,15 @@ def test_outcome_model_needs_one_noise_setting():
         simlab.OutcomeModel(effects={}, beta=np.ones(2), sigma=-1.0)
     with pytest.raises(ValueError):
         simlab.OutcomeModel(effects={}, beta=np.ones(2), target_r2=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma", math.nan), ("sigma", math.inf), ("grand_mean", math.nan),
+    ("grand_mean", -math.inf), ("effects", {"A": math.inf}), ("effects", {"A": math.nan}),
+])
+def test_outcome_model_refuses_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        simlab.OutcomeModel(**{"effects": {}, "beta": np.ones(2), "sigma": 1.0, field: value})
 
 
 def test_generate_checks_beta_length():
